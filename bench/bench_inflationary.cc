@@ -44,9 +44,10 @@ void RunScale(int persons) {
 
   // DL non-deterministic enumeration.
   auto t0 = Clock::now();
+  ResourceGovernor governor;
+  governor.Arm(EvalLimits::TupleBudget(2000000));
   auto dl = EnumerateInflationaryAnswers(ManWoman(), db, "man",
-                                         InfLanguage::kDL,
-                                         /*max_states=*/2000000);
+                                         InfLanguage::kDL, &governor);
   double dl_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 

@@ -169,14 +169,12 @@ Result<Database> EvaluateChoiceProgram(const Program& program,
 Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
                                          const Database& database,
                                          const std::string& query_pred,
-                                         uint64_t max_models,
                                          ResourceGovernor* governor) {
-  // Legacy max_models as a governor tuple budget: one "tuple" per
-  // evaluated selection. The inner fixpoints are only governed when an
-  // external governor is supplied — the legacy budget counts
-  // selections, not the tuples each model derives.
+  // One "tuple" per evaluated selection. The inner fixpoints are only
+  // governed when an external governor is supplied — the local budget
+  // counts selections, not the tuples each model derives.
   ResourceGovernor local;
-  ArmLegacyTupleCap(&local, max_models);
+  local.Arm(EvalLimits::TupleBudget(kDefaultMaxChoiceModels));
   ResourceGovernor* gov = governor != nullptr ? governor : &local;
   gov->set_scope("choice enumeration");
 
@@ -192,8 +190,7 @@ Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
 
   AnswerSet result;
   while (true) {
-    // Each evaluated selection charges the tuple budget (the legacy
-    // max_models cap when no external governor is installed).
+    // Each evaluated selection charges the tuple budget.
     IDLOG_RETURN_NOT_OK(gov->OnDerived(1, 0));
     // Unflatten digits into per-occurrence selections.
     std::vector<std::vector<size_t>> selection(pc.occurrences.size());

@@ -34,6 +34,9 @@ struct ChoicePolicy {
 /// Fails if the program violates (C1)/(C2).
 /// With `governor` set, both fixpoint phases run governed (deadline,
 /// budgets, cancellation). Not owned; null means ungoverned.
+/// Evaluation builds column indexes inside `database`'s relations, so
+/// no other evaluation may read `database` concurrently (the same holds
+/// for EnumerateChoiceAnswers).
 Result<Database> EvaluateChoiceProgram(const Program& program,
                                        const Database& database,
                                        const ChoicePolicy& policy,
@@ -41,12 +44,14 @@ Result<Database> EvaluateChoiceProgram(const Program& program,
 
 /// Exhaustively enumerates the possible answers of `query_pred` over
 /// all functional-subset selections. Exponential; for small instances
-/// (tests, bench E5 ground truth). `max_models` is a deprecated shim —
-/// a governor tuple budget when `governor` is null; ignored otherwise.
+/// (tests, bench E5 ground truth). Each evaluated selection charges one
+/// tuple to the governor, which also governs the inner fixpoints.
+/// Without a governor, a local one allows kDefaultMaxChoiceModels
+/// selections and the inner fixpoints run ungoverned.
+constexpr uint64_t kDefaultMaxChoiceModels = 1000000;
 Result<AnswerSet> EnumerateChoiceAnswers(const Program& program,
                                          const Database& database,
                                          const std::string& query_pred,
-                                         uint64_t max_models = 1000000,
                                          ResourceGovernor* governor =
                                              nullptr);
 

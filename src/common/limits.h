@@ -295,20 +295,6 @@ class GovernorScope {
   int saved_stratum_ = -1;
 };
 
-/// Shims for the deprecated per-module caps (max_instantiations,
-/// max_models, max_states, max_steps). The legacy caps rejected the
-/// first unit of work when set to 0, whereas EvalLimits treats 0 as
-/// unlimited — so a cap of 0 arms a budget of one and spends it up
-/// front, preserving "cap N admits exactly N charges" for every N.
-inline void ArmLegacyTupleCap(ResourceGovernor* governor, uint64_t cap) {
-  governor->Arm(EvalLimits::TupleBudget(cap == 0 ? 1 : cap));
-  if (cap == 0) (void)governor->OnDerived(1, 0);
-}
-inline void ArmLegacyIterationCap(ResourceGovernor* governor, uint64_t cap) {
-  governor->Arm(EvalLimits::IterationBudget(cap == 0 ? 1 : cap));
-  if (cap == 0) (void)governor->OnIteration();
-}
-
 /// Rough per-tuple heap cost used for the approximate-memory budget:
 /// the inline Values plus container/node overhead.
 inline uint64_t ApproxTupleBytes(size_t arity) {

@@ -53,6 +53,9 @@ struct AnswerSet {
 /// branches); intended for the small instances used to verify the
 /// paper's possible-answer sets (Examples 2, 5, 7) and for property
 /// tests, not for production queries.
+///
+/// Evaluation builds column indexes inside `database`'s relations, so
+/// no other evaluation may read `database` concurrently.
 Result<AnswerSet> EnumerateAnswers(const Program& program,
                                    const Database& database,
                                    const std::string& query_pred,

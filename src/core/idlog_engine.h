@@ -43,6 +43,9 @@ class IdlogEngine {
   IdlogEngine& operator=(const IdlogEngine&) = delete;
 
   SymbolTable& symbols() { return symbols_; }
+  /// The stored relations. Runs build column indexes inside them, so no
+  /// evaluation over this database (Run, or an enumerator given it) may
+  /// run on one thread while another evaluates over it.
   Database& database() { return database_; }
   const Database& database() const { return database_; }
 
@@ -268,8 +271,8 @@ class IdlogEngine {
   /// Per-step counters of the last Run() (empty unless explain enabled).
   const PlanAnalysis& plan_analysis() const;
 
-  /// Storage observability: walks the database, derived/ID-relations,
-  /// index caches, intern pool, tid-assigner and provenance arena into
+  /// Storage observability: walks the database, derived/ID-relations
+  /// and their indexes, intern pool, tid-assigner and provenance arena into
   /// per-relation statistics with component byte attribution. Valid any
   /// time (a pre-run engine reports EDB state only); does not run.
   StorageStats DbStats() const;

@@ -1,10 +1,12 @@
 #include "eval/engine_impl.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "analysis/classification.h"
 #include "analysis/safety.h"
 #include "ast/printer.h"
+#include "ast/program_builder.h"
 #include "eval/stratum_eval.h"
 
 namespace idlog {
@@ -33,6 +35,38 @@ Status EngineImpl::Prepare() {
                            CompileRule(program_->clauses[i]));
     plan.clause_index = static_cast<int>(i);
     plans_.push_back(std::move(plan));
+  }
+
+  // Relation slots: a predicate is its index in the program's table, an
+  // ID-relation the index of its (predicate, group) pair in order of
+  // first appearance.
+  auto pred_slot = [this](const std::string& pred) -> Result<int> {
+    int slot = program_->FindPredicate(pred);
+    if (slot < 0) {
+      return Status::Internal("predicate '" + pred +
+                              "' is missing from the program's table");
+    }
+    return slot;
+  };
+  id_slots_.clear();
+  for (RulePlan& plan : plans_) {
+    IDLOG_ASSIGN_OR_RETURN(plan.head, pred_slot(plan.head_pred));
+    for (PlanStep& step : plan.steps) {
+      if (step.kind == PlanStep::Kind::kBuiltin) continue;
+      IDLOG_ASSIGN_OR_RETURN(int pred, pred_slot(step.predicate));
+      if (!step.is_id) {
+        step.rel = pred;
+        continue;
+      }
+      auto key = std::make_pair(step.predicate, step.group);
+      auto it = std::find_if(
+          id_slots_.begin(), id_slots_.end(),
+          [&key](const IdSlot& id) { return id.key == key; });
+      step.rel = static_cast<int>(it - id_slots_.begin());
+      if (it == id_slots_.end()) {
+        id_slots_.push_back(IdSlot{std::move(key), static_cast<size_t>(pred)});
+      }
+    }
   }
 
   PredicateClassification classes = ClassifyPredicates(*program_);
@@ -90,6 +124,103 @@ const Relation* EngineImpl::FullRelation(const std::string& pred) const {
   return nullptr;
 }
 
+RelationSlots EngineImpl::FillSlots() {
+  RelationSlots slots;
+  const size_t n = program_->predicates.size();
+  slots.full.resize(n);
+  slots.derived.resize(n);
+  slots.delta.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    const std::string& pred = program_->predicates[p].name;
+    slots.full[p] = FullRelation(pred);
+    auto it = derived_.find(pred);
+    if (it != derived_.end()) slots.derived[p] = &it->second;
+  }
+  slots.id.resize(id_slots_.size());
+  for (size_t k = 0; k < id_slots_.size(); ++k) {
+    auto it = id_relations_.find(id_slots_[k].key);
+    if (it != id_relations_.end()) slots.id[k] = &it->second;
+  }
+  return slots;
+}
+
+Status EngineImpl::MaterializeIdRelation(size_t k, TidAssigner* assigner,
+                                         RelationSlots* slots) {
+  const IdSlot& id = id_slots_[k];
+  const std::string& pred = id.key.first;
+  const std::vector<int>& group = id.key.second;
+  TraceSpan id_span(trace_, "id-relation " + pred, "id");
+  if (trace_ != nullptr) {
+    std::string cols;
+    for (int c : group) {
+      if (!cols.empty()) cols += ",";
+      cols += std::to_string(c);
+    }
+    id_span.AddArg(TraceArg::Str("group_by", cols));
+  }
+  // An unknown relation reads as empty: the ID-relation of the empty
+  // relation.
+  const Relation* base = slots->full[id.base];
+  Relation empty_base(program_->predicates[id.base].type);
+  if (base == nullptr) base = &empty_base;
+  int64_t max_tid = -1;
+  if (tid_bound_pushdown_) {
+    auto bound = tid_bounds_.find(TidBoundKey{pred, group});
+    if (bound != tid_bounds_.end()) max_tid = bound->second;
+  }
+  size_t num_groups = 0;
+  IDLOG_ASSIGN_OR_RETURN(
+      Relation id_rel,
+      BuildIdRelation(pred, *base, group, assigner, max_tid, &num_groups));
+  stats_.id_groups_assigned += num_groups;
+  stats_.id_tuples_materialized += id_rel.size();
+  id_span.AddArg(TraceArg::Num("groups", num_groups));
+  id_span.AddArg(TraceArg::Num("tuples", id_rel.size()));
+  id_span.AddArg(TraceArg::Int("max_tid", max_tid));
+  if (governor_ != nullptr) {
+    size_t arity = id_rel.type().size();
+    IDLOG_RETURN_NOT_OK(governor_->OnDerived(
+        id_rel.size(), id_rel.size() * ApproxTupleBytes(arity)));
+  }
+  slots->id[k] =
+      &id_relations_.emplace(id.key, std::move(id_rel)).first->second;
+  return Status::OK();
+}
+
+Result<std::vector<RelationType>> EngineImpl::RunTypes(
+    const std::map<std::string, RelationType>& pending) const {
+  Program pinned;
+  pinned.predicates = program_->predicates;
+  bool retyped = false;
+  for (PredicateInfo& info : pinned.predicates) {
+    if (idb_preds_.count(info.name) > 0) continue;
+    const RelationType* type = nullptr;
+    auto staged = pending.find(info.name);
+    if (staged != pending.end()) {
+      type = &staged->second;
+    } else if (Result<const Relation*> stored = database_->Get(info.name);
+               stored.ok()) {
+      type = &(*stored)->type();
+    }
+    if (type == nullptr || type->size() != info.type.size()) continue;
+    retyped = retyped || *type != info.type;
+    info.type = *type;
+    info.declared = true;
+  }
+  // Pinning the sorts parse-time inference already chose changes
+  // nothing, so only a stored sort that differs needs the fixpoint.
+  if (retyped) {
+    pinned.clauses = program_->clauses;
+    IDLOG_RETURN_NOT_OK(InferPredicateTypes(&pinned));
+  }
+  std::vector<RelationType> types;
+  types.reserve(pinned.predicates.size());
+  for (PredicateInfo& info : pinned.predicates) {
+    types.push_back(std::move(info.type));
+  }
+  return types;
+}
+
 void EngineImpl::InstallResumeState(EvalResumeState state) {
   derived_ = std::move(state.derived);
   id_relations_ = std::move(state.id_relations);
@@ -97,7 +228,6 @@ void EngineImpl::InstallResumeState(EvalResumeState state) {
   plan_analysis_ =
       state.has_analysis ? std::move(state.analysis) : PlanAnalysis();
   profile_ = state.has_profile ? std::move(state.profile) : EvalProfile();
-  index_caches_.clear();
   // A snapshot cut from a provenance-enabled run carries the store;
   // adopting it keeps pre-checkpoint facts explainable after resume.
   if (state.has_provenance) {
@@ -120,7 +250,6 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   if (resume == nullptr) {
     derived_.clear();
     id_relations_.clear();
-    index_caches_.clear();
     stats_.Reset();
     provenance_.Clear();
     profile_.Clear();
@@ -196,69 +325,18 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     }
   }
 
-  // Pre-create IDB relations with their inferred types so that empty
+  // Pre-create IDB relations with their run types so that empty
   // results still carry the right schema.
-  for (const PredicateInfo& info : program_->predicates) {
-    if (idb_preds_.count(info.name) > 0) {
-      derived_.emplace(info.name, Relation(info.type));
+  IDLOG_ASSIGN_OR_RETURN(std::vector<RelationType> types, RunTypes());
+  for (size_t p = 0; p < types.size(); ++p) {
+    const std::string& pred = program_->predicates[p].name;
+    if (idb_preds_.count(pred) > 0) {
+      derived_.emplace(pred, Relation(std::move(types[p])));
     }
   }
+  RelationSlots slots = FillSlots();
 
   EvalContext ctx;
-  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
-  ctx.id_relation =
-      [this, assigner](const std::string& pred, const std::vector<int>& group)
-      -> Result<const Relation*> {
-    auto key = std::make_pair(pred, group);
-    auto it = id_relations_.find(key);
-    if (it != id_relations_.end()) return &it->second;
-    TraceSpan id_span(trace_, "id-relation " + pred, "id");
-    if (trace_ != nullptr) {
-      std::string cols;
-      for (int c : group) {
-        if (!cols.empty()) cols += ",";
-        cols += std::to_string(c);
-      }
-      id_span.AddArg(TraceArg::Str("group_by", cols));
-    }
-    // Materialize now: stratification guarantees the base is complete.
-    const Relation* base = FullRelation(pred);
-    Relation empty_base(RelationType{});
-    if (base == nullptr) {
-      // Unknown relation: the ID-relation of the empty relation.
-      int idx = program_->FindPredicate(pred);
-      if (idx >= 0) {
-        empty_base = Relation(
-            program_->predicates[static_cast<size_t>(idx)].type);
-      }
-      base = &empty_base;
-    }
-    int64_t max_tid = -1;
-    if (tid_bound_pushdown_) {
-      auto bound = tid_bounds_.find(TidBoundKey{pred, group});
-      if (bound != tid_bounds_.end()) max_tid = bound->second;
-    }
-    size_t num_groups = 0;
-    IDLOG_ASSIGN_OR_RETURN(
-        Relation id_rel,
-        BuildIdRelation(pred, *base, group, assigner, max_tid,
-                        &num_groups));
-    stats_.id_groups_assigned += num_groups;
-    stats_.id_tuples_materialized += id_rel.size();
-    id_span.AddArg(TraceArg::Num("groups", num_groups));
-    id_span.AddArg(TraceArg::Num("tuples", id_rel.size()));
-    id_span.AddArg(TraceArg::Int("max_tid", max_tid));
-    if (governor_ != nullptr) {
-      size_t arity = id_rel.type().size();
-      IDLOG_RETURN_NOT_OK(governor_->OnDerived(
-          id_rel.size(), id_rel.size() * ApproxTupleBytes(arity)));
-    }
-    auto [pos, inserted] =
-        id_relations_.emplace(std::move(key), std::move(id_rel));
-    (void)inserted;
-    return &pos->second;
-  };
-  ctx.index_caches = &index_caches_;
   ctx.stats = &stats_;
   ctx.use_indexes = use_indexes_;
   ctx.governor = governor_;
@@ -307,17 +385,16 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
       governor_->set_stratum(s);
       IDLOG_RETURN_NOT_OK(governor_->CheckPoint(0));
     }
-    // Materialize the ID-relations this stratum reads, in deterministic
+    // Materialize the ID-relations this stratum reads that no earlier
+    // stratum (or the resumed snapshot) did, in deterministic
     // clause/step order (ScriptedTidAssigner relies on this order).
     for (int clause_idx : strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
       const RulePlan& plan = plans_[static_cast<size_t>(clause_idx)];
       for (const PlanStep& step : plan.steps) {
-        if ((step.kind == PlanStep::Kind::kScan ||
-             step.kind == PlanStep::Kind::kNegation) &&
-            step.is_id) {
-          IDLOG_ASSIGN_OR_RETURN(const Relation* ignored,
-                                 ctx.id_relation(step.predicate, step.group));
-          (void)ignored;
+        if (step.kind == PlanStep::Kind::kBuiltin || !step.is_id) continue;
+        const size_t k = static_cast<size_t>(step.rel);
+        if (slots.id[k] == nullptr) {
+          IDLOG_RETURN_NOT_OK(MaterializeIdRelation(k, assigner, &slots));
         }
       }
     }
@@ -359,7 +436,7 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     Status stratum_status = Status::OK();
     if (!stratum_plans.empty()) {
       stratum_status = EvaluateStratum(
-          stratum_plans, stratum_preds, ctx, &derived_, seminaive,
+          stratum_plans, stratum_preds, ctx, slots, seminaive,
           mid_stratum_resume ? &stratum_resume : nullptr, on_round);
     }
     if (profiling_) {
@@ -448,6 +525,17 @@ Status EngineImpl::EvaluateIncremental(
     }
   }
 
+  // New EDB data can change the sorts derived relations must have (a
+  // relation first stored by this change); those are rebuilt in full.
+  IDLOG_ASSIGN_OR_RETURN(std::vector<RelationType> types, RunTypes());
+  for (size_t p = 0; p < types.size(); ++p) {
+    auto it = derived_.find(program_->predicates[p].name);
+    if (it != derived_.end() && it->second.type() != types[p]) {
+      return Status::Unsupported("the change retypes derived relation '" +
+                                 it->first + "'; re-evaluate in full");
+    }
+  }
+
   struct WallStamp {
     EngineImpl* engine;
     uint64_t base_ns;
@@ -473,22 +561,12 @@ Status EngineImpl::EvaluateIncremental(
   TraceSpan eval_span(trace_, "evaluate incremental", "engine");
   eval_span.AddArg(TraceArg::Num("changed_preds", changed.size()));
 
+  // A completed run materialized (at each stratum's entry) every
+  // ID-relation its plans read, and the refusal above rules out tainted
+  // bases, so the slots hold them all; binding reports a missing one as
+  // a broken invariant.
+  RelationSlots slots = FillSlots();
   EvalContext ctx;
-  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
-  // Lookup-only: a completed run materialized (at each stratum's entry)
-  // every ID-relation its plans read, and the refusal above rules out
-  // tainted bases, so a miss is a broken invariant rather than work.
-  ctx.id_relation = [this](const std::string& pred,
-                           const std::vector<int>& group)
-      -> Result<const Relation*> {
-    auto it = id_relations_.find(std::make_pair(pred, group));
-    if (it == id_relations_.end()) {
-      return Status::Internal("ID-relation '" + pred +
-                              "' missing from the evaluated state");
-    }
-    return &it->second;
-  };
-  ctx.index_caches = &index_caches_;
   ctx.stats = &stats_;
   ctx.use_indexes = use_indexes_;
   ctx.governor = governor_;
@@ -567,7 +645,7 @@ Status EngineImpl::EvaluateIncremental(
     seeded.round = 0;  // Round 0 is the completed run; start at round 1.
     seeded.delta = seed;
     Status stratum_status =
-        EvaluateStratum(stratum_plans, stratum_preds, ctx, &derived_,
+        EvaluateStratum(stratum_plans, stratum_preds, ctx, slots,
                         /*seminaive=*/true, &seeded, accumulate,
                         &seed_preds);
     if (profiling_) {
@@ -618,27 +696,18 @@ Result<bool> EngineImpl::VerifyModel() {
   if (!prepared_) {
     return Status::InvalidArgument("Prepare() and Evaluate() first");
   }
+  RelationSlots slots = FillSlots();
   EvalContext ctx;
-  ctx.full = [this](const std::string& pred) { return FullRelation(pred); };
-  ctx.id_relation = [this](const std::string& pred,
-                           const std::vector<int>& group)
-      -> Result<const Relation*> {
-    auto it = id_relations_.find(std::make_pair(pred, group));
-    if (it == id_relations_.end()) {
-      return Status::Internal("ID-relation '" + pred +
-                              "' missing from the evaluated state");
-    }
-    return &it->second;
-  };
-  ctx.index_caches = &index_caches_;
-  ctx.stats = nullptr;
-
+  std::vector<BoundStep> bound;
   for (const RulePlan& plan : plans_) {
-    const Relation* current = FullRelation(plan.head_pred);
+    const Relation* current = slots.full[static_cast<size_t>(plan.head)];
     if (current == nullptr) return false;
+    IDLOG_RETURN_NOT_OK(BindRule(plan, slots, /*delta_step=*/-1,
+                                 use_indexes_, /*stats=*/nullptr,
+                                 /*step_stats=*/nullptr, &bound));
     Relation derived(current->type());
-    IDLOG_RETURN_NOT_OK(
-        EvaluateRuleInto(plan, ctx, /*delta_step=*/-1, &derived));
+    IDLOG_RETURN_NOT_OK(EvaluateRuleInto(plan, bound, ctx,
+                                         /*delta_step=*/-1, &derived));
     for (const Tuple& t : derived.tuples()) {
       if (!current->Contains(t)) return false;
     }

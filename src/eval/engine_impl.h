@@ -64,7 +64,9 @@ struct EvalResumeState {
 /// with different tid assigners (each run computes one perfect model).
 class EngineImpl {
  public:
-  /// `program` and `database` must outlive the engine.
+  /// `program` and `database` must outlive the engine. Evaluation builds
+  /// column indexes inside `database`'s relations, so no other engine
+  /// may evaluate over `database` at the same time.
   EngineImpl(const Program* program, const Database* database)
       : program_(program), database_(database) {}
 
@@ -104,6 +106,18 @@ class EngineImpl {
   /// relations, so durable sessions refuse them up front.
   const std::set<std::string>& idb_preds() const { return idb_preds_; }
 
+  /// Column sorts of every predicate, by predicate, for relations a run
+  /// creates: the program's sort inference re-run with the sorts of
+  /// every stored EDB relation pinned, so derived relations take the
+  /// sorts of the data they are computed from (unconstrained columns
+  /// otherwise default to u). `pending` relations — not stored yet,
+  /// with the sorts they would be created with — are pinned as if
+  /// stored; durable sessions check an insert that creates a relation
+  /// this way, so a commit the next run would reject never reaches the
+  /// log. A conflict is a TypeError.
+  Result<std::vector<RelationType>> RunTypes(
+      const std::map<std::string, RelationType>& pending = {}) const;
+
   /// Adopts checkpointed evaluation state: the derived/ID-relations,
   /// stats and observability counters become current immediately (so a
   /// completed snapshot is queryable without evaluating), and the next
@@ -129,13 +143,8 @@ class EngineImpl {
   }
 
   /// Storage introspection (obs/dbstats): the synthesized u-domain
-  /// relation (empty unless the program reads `udom`) and the live
-  /// index caches keyed by relation pointer.
+  /// relation (empty unless the program reads `udom`).
   const Relation& udom_relation() const { return udom_; }
-  const std::map<const Relation*, std::unique_ptr<IndexCache>>&
-  index_caches() const {
-    return index_caches_;
-  }
 
   /// The relation of `pred` after Evaluate: derived if IDB, database
   /// contents if EDB, NotFound otherwise. The special predicate `udom`
@@ -252,6 +261,17 @@ class EngineImpl {
 
   const Relation* FullRelation(const std::string& pred) const;
 
+  /// Slot tables over the current relations (RelationSlots): by
+  /// predicate the full and derived relations, by ID slot the
+  /// ID-relations materialized so far; no deltas.
+  RelationSlots FillSlots();
+
+  /// Materializes the ID-relation of ID slot `k` from its base's current
+  /// (complete, by stratification) contents, charges it, and points
+  /// `slots->id[k]` at it.
+  Status MaterializeIdRelation(size_t k, TidAssigner* assigner,
+                               RelationSlots* slots);
+
   const Program* program_;
   const Database* database_;
 
@@ -261,14 +281,19 @@ class EngineImpl {
   Stratification strat_;
   std::vector<RulePlan> plans_;  ///< One per program clause.
   std::set<std::string> idb_preds_;
+  /// The distinct ID-relations the plans read, by ID slot, with the
+  /// predicate slot of each one's base relation.
+  struct IdSlot {
+    std::pair<std::string, std::vector<int>> key;
+    size_t base = 0;
+  };
+  std::vector<IdSlot> id_slots_;
 
   std::map<std::string, Relation> derived_;
   std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations_;
   Relation udom_;  ///< Synthesized u-domain relation.
   bool udom_needed_ = false;
 
-  mutable std::map<const Relation*, std::unique_ptr<IndexCache>>
-      index_caches_;
   int threads_ = 1;
   int delta_partitions_ = 0;  ///< 0 = auto (pool parallelism).
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily sized to threads_.

@@ -25,13 +25,13 @@ struct EvalStats {
   uint64_t id_groups_assigned = 0;  ///< Sub-relations given an ID-function.
   uint64_t id_tuples_materialized = 0;
   /// Index effectiveness. `index_probes` counts index Lookup calls — a
-  /// logical counter, identical across --jobs settings (parallel rounds
-  /// probe the same pre-built indexes serial rounds probe lazily).
-  /// `index_builds` and `index_cache_misses` count physical work (an
-  /// index constructed or refreshed; a scan that found no fresh cached
-  /// index) and, like wall times, may differ between serial and
-  /// parallel execution: serial runs build lazily at first use, --jobs
-  /// runs build eagerly in the coordinator's pre-build step.
+  /// logical counter. `index_builds` counts indexes built or extended
+  /// when a round binds its tasks, and `index_cache_misses` the bound
+  /// scans that found no current index (binding builds what it misses,
+  /// so the two agree). All three are identical across --jobs and
+  /// --partitions settings; the last two are physical, like wall times:
+  /// they depend on what earlier runs left built (EDB indexes outlive a
+  /// run, a resumed run rebuilds its indexes).
   uint64_t index_probes = 0;
   uint64_t index_builds = 0;
   uint64_t index_cache_misses = 0;

@@ -13,27 +13,19 @@ namespace {
 /// Recursive nested-loop executor over the plan steps.
 class RuleExecutor {
  public:
-  RuleExecutor(const RulePlan& plan, const EvalContext& ctx, int delta_step,
-               Relation* out)
-      : plan_(plan), ctx_(ctx), delta_step_(delta_step), out_(out),
-        slots_(static_cast<size_t>(plan.num_slots)) {
+  RuleExecutor(const RulePlan& plan, const std::vector<BoundStep>& bound,
+               const EvalContext& ctx, int delta_step, Relation* out)
+      : plan_(plan), bound_(bound), ctx_(ctx), delta_step_(delta_step),
+        out_(out), slots_(static_cast<size_t>(plan.num_slots)) {
     if (ctx_.provenance != nullptr) {
       premises_.resize(plan.steps.size());
     }
     // EXPLAIN ANALYZE counters: one pointer resolved here, so the
-    // disabled path costs nothing per tuple. The buffer (steps+1
-    // entries, sized by the engine/driver) is the worker's private one
-    // when set, else the shared per-clause slot of the PlanAnalysis.
+    // disabled path costs nothing per tuple. The buffer has steps+1
+    // entries (sized by the driver).
     if (ctx_.step_stats != nullptr &&
         ctx_.step_stats->steps.size() == plan.steps.size() + 1) {
       sc_ = ctx_.step_stats->steps.data();
-    } else if (ctx_.analyze != nullptr && plan.clause_index >= 0 &&
-               static_cast<size_t>(plan.clause_index) <
-                   ctx_.analyze->rules.size()) {
-      auto& steps = ctx_.analyze->rules[static_cast<size_t>(
-                                            plan.clause_index)]
-                        .steps;
-      if (steps.size() == plan.steps.size() + 1) sc_ = steps.data();
     }
   }
 
@@ -41,10 +33,8 @@ class RuleExecutor {
     // A differentiated rule derives nothing when its delta is empty;
     // bail out before scanning any earlier (possibly large) steps.
     if (delta_step_ >= 0) {
-      const PlanStep& step =
-          plan_.steps[static_cast<size_t>(delta_step_)];
       const Relation* delta =
-          ctx_.delta ? ctx_.delta(step.predicate) : nullptr;
+          bound_[static_cast<size_t>(delta_step_)].rel;
       if (delta == nullptr || delta->empty()) return Status::OK();
     }
     // A partitioned task is one logical rule evaluation split across
@@ -61,27 +51,17 @@ class RuleExecutor {
     return src.is_slot ? slots_[static_cast<size_t>(src.slot)] : src.constant;
   }
 
-  const IndexCache* CacheFor(const Relation* rel) const {
-    auto it = ctx_.index_caches->find(rel);
-    if (it == ctx_.index_caches->end()) {
-      it = ctx_.index_caches
-               ->emplace(rel, std::make_unique<IndexCache>(rel))
-               .first;
-    }
-    return it->second.get();
-  }
-
   Status EmitHead() {
     IDLOG_FAILPOINT("eval.emit.insert");
     // The emit pseudo-step (index steps.size()): rows_in mirrors
-    // facts_derived, rows_emitted mirrors facts_inserted.
-    StepCounters* emit = sc_ != nullptr ? &sc_[plan_.steps.size()] : nullptr;
-    if (emit != nullptr) ++emit->rows_in;
+    // facts_derived. Its rows_emitted, facts_inserted and the governor
+    // charges for facts and provenance bytes belong to the driver's
+    // commit, where "new" is judged against the full relation.
+    if (sc_ != nullptr) ++sc_[plan_.steps.size()].rows_in;
     Tuple t;
     t.reserve(plan_.head_args.size());
     for (const ArgSource& src : plan_.head_args) t.push_back(Resolve(src));
     if (ctx_.stats != nullptr) ++ctx_.stats->facts_derived;
-    size_t prov_bytes = 0;
     if (ctx_.provenance != nullptr) {
       // Interned at first emit, not construction: the store's predicate
       // table must hold exactly the predicates with recorded nodes, in
@@ -89,35 +69,16 @@ class RuleExecutor {
       // sees recorded nodes) would diverge from a serial run. Cached, so
       // later emits stay id-keyed with no string hashing/copies.
       if (head_pred_id_ == ProvenanceStore::kNoPred) {
-        const size_t before = ctx_.provenance->approx_bytes();
         head_pred_id_ = ctx_.provenance->InternPredicate(plan_.head_pred);
-        // First emit also pays the interning bytes, keeping governor
-        // charges equal to the store's approx_bytes growth.
-        prov_bytes += ctx_.provenance->approx_bytes() - before;
       }
-      const size_t node_bytes = ctx_.provenance->Record(
-          head_pred_id_, t, plan_.clause_index, premises_);
-      prov_bytes += node_bytes;
-      if (node_bytes > 0 && ctx_.prov_order != nullptr) {
+      if (ctx_.provenance->Record(head_pred_id_, t, plan_.clause_index,
+                                  premises_) > 0 &&
+          ctx_.prov_order != nullptr) {
         ctx_.prov_order->push_back(cur_delta_row_);
       }
     }
-    if (out_->Insert(std::move(t))) {
-      if (ctx_.staged_order != nullptr) {
-        ctx_.staged_order->push_back(cur_delta_row_);
-      }
-      // Round tasks stage into a private relation; whether the tuple is
-      // new globally is only known at the driver's Commit, which does
-      // this accounting (rows_emitted included) there in deterministic
-      // task order against the full relation. Provenance bytes are
-      // likewise charged when the private store is absorbed.
-      if (ctx_.defer_inserts) return Status::OK();
-      if (emit != nullptr) ++emit->rows_emitted;
-      if (ctx_.stats != nullptr) ++ctx_.stats->facts_inserted;
-      if (ctx_.governor != nullptr) {
-        return ctx_.governor->OnDerived(
-            1, ApproxTupleBytes(plan_.head_args.size()) + prov_bytes);
-      }
+    if (out_->Insert(std::move(t)) && ctx_.staged_order != nullptr) {
+      ctx_.staged_order->push_back(cur_delta_row_);
     }
     return Status::OK();
   }
@@ -141,8 +102,7 @@ class RuleExecutor {
   }
 
   // Verifies kKey positions against `row` (needed when scanning without
-  // an index — the ablation path and the parallel worker's fallback
-  // when a frozen index is unavailable; index lookups guarantee them).
+  // an index — the ablation path; index lookups guarantee them).
   bool KeysMatch(const PlanStep& step, const Tuple& row) {
     if (step.key_cols.empty()) return true;
     for (int col : step.key_cols) {
@@ -173,17 +133,6 @@ class RuleExecutor {
     return true;
   }
 
-  Result<const Relation*> ResolveRelation(const PlanStep& step,
-                                          bool use_delta) {
-    if (step.is_id) {
-      return ctx_.id_relation(step.predicate, step.group);
-    }
-    if (use_delta) {
-      return ctx_.delta ? ctx_.delta(step.predicate) : nullptr;
-    }
-    return ctx_.full(step.predicate);
-  }
-
   Status RunStep(size_t i) {
     if (i == plan_.steps.size()) return EmitHead();
     const PlanStep& step = plan_.steps[i];
@@ -197,45 +146,9 @@ class RuleExecutor {
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
-        bool use_delta = static_cast<int>(i) == delta_step_;
-        IDLOG_ASSIGN_OR_RETURN(const Relation* rel,
-                               ResolveRelation(step, use_delta));
+        const Relation* rel = bound_[i].rel;
         if (rel == nullptr || rel->empty()) return Status::OK();
-
-        // Resolve the index for this scan, if any. Parallel workers may
-        // only read the shared cache (the driver pre-built every index
-        // the round can touch); if one is somehow missing or stale they
-        // fall back to the key-verified full scan below rather than
-        // mutate shared state.
-        const ColumnIndex* index = nullptr;
-        if (ctx_.use_indexes && !step.key_cols.empty()) {
-          if (ctx_.parallel_worker) {
-            auto it = ctx_.index_caches->find(rel);
-            if (it != ctx_.index_caches->end()) {
-              index = it->second->FindFresh(step.key_cols);
-            }
-            if (index == nullptr) {
-              if (ctx_.stats != nullptr) ++ctx_.stats->index_cache_misses;
-              if (sc != nullptr) ++sc->index_misses;
-            } else if (sc != nullptr) {
-              ++sc->index_hits;
-            }
-          } else {
-            IDLOG_FAILPOINT("eval.index.build");
-            bool rebuilt = false;
-            index = &const_cast<IndexCache*>(CacheFor(rel))
-                         ->Get(step.key_cols, &rebuilt);
-            if (rebuilt) {
-              if (ctx_.stats != nullptr) {
-                ++ctx_.stats->index_builds;
-                ++ctx_.stats->index_cache_misses;
-              }
-              if (sc != nullptr) ++sc->index_misses;
-            } else if (sc != nullptr) {
-              ++sc->index_hits;
-            }
-          }
-        }
+        const ColumnIndex* index = bound_[i].index;
 
         if (index == nullptr) {
           // Partitioned delta scan: skip rows another partition owns
@@ -244,8 +157,8 @@ class RuleExecutor {
           // over partitions reproduce the unpartitioned run. The driver
           // only partitions tasks whose delta step is step 0 with no
           // bound keys, which is precisely this loop.
-          const bool partitioned =
-              use_delta && i == 0 && ctx_.partition_count > 1;
+          const bool partitioned = static_cast<int>(i) == delta_step_ &&
+                                   i == 0 && ctx_.partition_count > 1;
           uint64_t ordinal = 0;
           for (const Tuple& row : rel->tuples()) {
             const uint64_t r = ordinal++;
@@ -292,8 +205,7 @@ class RuleExecutor {
       }
 
       case PlanStep::Kind::kNegation: {
-        IDLOG_ASSIGN_OR_RETURN(const Relation* rel,
-                               ResolveRelation(step, /*use_delta=*/false));
+        const Relation* rel = bound_[i].rel;
         Tuple probe;
         probe.reserve(step.sources.size());
         for (const ArgSource& src : step.sources) probe.push_back(Resolve(src));
@@ -396,6 +308,7 @@ class RuleExecutor {
   }
 
   const RulePlan& plan_;
+  const std::vector<BoundStep>& bound_;
   const EvalContext& ctx_;
   int delta_step_;
   Relation* out_;
@@ -414,9 +327,50 @@ class RuleExecutor {
 
 }  // namespace
 
-Status EvaluateRuleInto(const RulePlan& plan, const EvalContext& ctx,
-                        int delta_step, Relation* out) {
-  RuleExecutor executor(plan, ctx, delta_step, out);
+Status BindRule(const RulePlan& plan, const RelationSlots& slots,
+                int delta_step, bool use_indexes, EvalStats* stats,
+                RuleStepStats* step_stats, std::vector<BoundStep>* bound) {
+  bound->assign(plan.steps.size(), BoundStep());
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const PlanStep& step = plan.steps[i];
+    if (step.kind == PlanStep::Kind::kBuiltin) continue;
+    BoundStep& b = (*bound)[i];
+    const size_t rel = static_cast<size_t>(step.rel);
+    if (step.is_id) {
+      // Materialized at the entry of the stratum that reads it.
+      b.rel = slots.id[rel];
+      if (b.rel == nullptr) {
+        return Status::Internal("ID-relation '" + step.predicate +
+                                "' missing from the evaluated state");
+      }
+    } else {
+      b.rel = static_cast<int>(i) == delta_step ? slots.delta[rel]
+                                                : slots.full[rel];
+    }
+    if (step.kind != PlanStep::Kind::kScan || !use_indexes ||
+        step.key_cols.empty() || b.rel == nullptr || b.rel->empty()) {
+      continue;
+    }
+    IDLOG_FAILPOINT("eval.index.build");
+    bool built = false;
+    b.index = &b.rel->IndexOn(step.key_cols, &built);
+    if (built && stats != nullptr) {
+      ++stats->index_builds;
+      ++stats->index_cache_misses;
+    }
+    if (step_stats != nullptr && step_stats->steps.size() > i) {
+      ++(built ? step_stats->steps[i].index_misses
+               : step_stats->steps[i].index_hits);
+    }
+  }
+  return Status::OK();
+}
+
+Status EvaluateRuleInto(const RulePlan& plan,
+                        const std::vector<BoundStep>& bound,
+                        const EvalContext& ctx, int delta_step,
+                        Relation* out) {
+  RuleExecutor executor(plan, bound, ctx, delta_step, out);
   return executor.Run();
 }
 

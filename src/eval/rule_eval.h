@@ -2,10 +2,6 @@
 #define IDLOG_EVAL_RULE_EVAL_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/limits.h"
@@ -17,44 +13,52 @@
 #include "obs/explain.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 
 namespace idlog {
 
 class ThreadPool;  // exec/thread_pool.h; the context only points at it.
 
-/// Runtime environment a rule executes in. The resolver functions
-/// return nullptr for relations that do not exist yet (treated as
-/// empty for scans, which makes the rule produce nothing, and as empty
-/// for negation, which makes the negation succeed).
+/// The relations plan steps read, by slot (PlanStep::rel, RulePlan::
+/// head). The engine fills them at the start of every evaluation call
+/// and never keeps them across calls: an EDB relation can appear
+/// between runs. A null entry is a relation that does not exist, read
+/// as empty — a scan over it produces nothing and a negation over it
+/// succeeds.
+struct RelationSlots {
+  /// By predicate: the full contents (derived, EDB or the u-domain).
+  std::vector<const Relation*> full;
+  /// By predicate: the derived relation commits insert into (null for
+  /// predicates no rule defines).
+  std::vector<Relation*> derived;
+  /// By predicate: the facts new in the previous round. Only the
+  /// stratum driver sets these, for the stratum it runs.
+  std::vector<const Relation*> delta;
+  /// By ID-relation slot: the materialized ID-relation.
+  std::vector<const Relation*> id;
+};
+
+/// One plan step's relation and index, resolved by BindRule.
+struct BoundStep {
+  const Relation* rel = nullptr;       ///< Null reads as empty.
+  const ColumnIndex* index = nullptr;  ///< Null: scan all rows, checking
+                                       ///< the key columns.
+};
+
+/// Runtime environment a rule executes in.
 struct EvalContext {
-  /// Full contents of an ordinary predicate (EDB or IDB).
-  std::function<const Relation*(const std::string&)> full;
-  /// Delta (facts new in the previous round) of an IDB predicate.
-  std::function<const Relation*(const std::string&)> delta;
-  /// Materialized ID-relation of (base predicate, grouping columns).
-  std::function<Result<const Relation*>(const std::string&,
-                                        const std::vector<int>&)>
-      id_relation;
-
-  /// Pointer-keyed index caches, owned by the caller and shared across
-  /// rule evaluations within one engine run.
-  std::map<const Relation*, std::unique_ptr<IndexCache>>* index_caches =
-      nullptr;
-
   EvalStats* stats = nullptr;
 
   /// Resource budgets (deadline, tuples, memory, iterations) and the
   /// cooperative cancellation token. When set, the executor checkpoints
-  /// once per tuple considered and charges every inserted fact, so
-  /// runaway joins and non-terminating fixpoints trip instead of
-  /// spinning. Null means ungoverned.
+  /// once per tuple considered, so runaway joins trip instead of
+  /// spinning; the stratum driver charges every committed fact, so
+  /// non-terminating fixpoints trip too. Null means ungoverned.
   ResourceGovernor* governor = nullptr;
 
-  /// Ablation switch: with false, scans ignore their index keys and
-  /// filter full scans instead (bench E4 measures the cost of losing
-  /// index nested-loop joins).
+  /// Ablation switch: with false, binding builds no index and scans
+  /// filter full scans on their key columns instead (bench E4 measures
+  /// the cost of losing index nested-loop joins).
   bool use_indexes = true;
 
   /// Thread pool for the parallel stratum executor (exec/). Null (the
@@ -62,24 +66,6 @@ struct EvalContext {
   /// the independent (rule, delta_step) evaluations of each round
   /// concurrently and merges them deterministically.
   ThreadPool* pool = nullptr;
-
-  /// Set on the context copies handed to pool workers: index access
-  /// becomes lookup-only against the pre-built shared caches
-  /// (IndexCache::FindFresh; a miss falls back to a key-verified full
-  /// scan) so no worker mutates shared state. Serial executions of the
-  /// unified task path leave this false and keep the lazy mutable index
-  /// builds.
-  bool parallel_worker = false;
-
-  /// Set on every context handed to a round task (serial or pooled):
-  /// staged-insert accounting (stats->facts_inserted, the emit step's
-  /// rows_emitted, governor OnDerived charges, provenance byte charges)
-  /// is deferred to the driver's Commit, where "new" means new in the
-  /// full relation — the only definition that is invariant across both
-  /// --jobs and partition counts. Paths that evaluate rules outside the
-  /// stratified fixpoint (grounder, choice, inflationary) leave this
-  /// false and keep the immediate staging-new accounting.
-  bool defer_inserts = false;
 
   /// Configured delta-partition fan-out for the stratified fixpoint:
   /// 0 = auto (match the pool's parallelism; 1 without a pool), an
@@ -129,12 +115,10 @@ struct EvalContext {
   /// path is one pointer test per rule evaluation, the same contract as
   /// trace/profile). `analyze` is the engine-owned PlanAnalysis, with
   /// one RuleStepStats per clause sized steps+1 (the extra entry is the
-  /// emit pseudo-step); the executor attributes by clause index.
-  /// Parallel workers instead receive `step_stats` pointing at their
-  /// task's private buffer (with `analyze` nulled so no worker touches
-  /// shared state) and the driver merges buffers in serial task order —
-  /// the emit step's rows_emitted is deferred to that merge, exactly
-  /// like EvalStats::facts_inserted. `step_stats` wins over `analyze`.
+  /// emit pseudo-step), which the stratum driver fills. The executor
+  /// only sees `step_stats`, its part's private buffer; the driver
+  /// merges the buffers in serial task order and fills the emit step's
+  /// rows_emitted at that merge, exactly like EvalStats::facts_inserted.
   PlanAnalysis* analyze = nullptr;
   RuleStepStats* step_stats = nullptr;
 
@@ -145,12 +129,29 @@ struct EvalContext {
   const SymbolTable* symbols = nullptr;
 };
 
-/// Evaluates one rule bottom-up, inserting derived head tuples into
-/// `out`. If `delta_step >= 0`, that step (which must be a positive
+/// Resolves every step of `plan` from `slots` into `bound` and builds or
+/// extends the index each keyed scan probes (none with `use_indexes`
+/// off). If `delta_step >= 0`, that step (which must be a positive
 /// non-ID scan) reads the delta relation instead of the full relation —
-/// the semi-naive differentiation hook.
-Status EvaluateRuleInto(const RulePlan& plan, const EvalContext& ctx,
-                        int delta_step, Relation* out);
+/// the semi-naive differentiation hook. An index built or extended here
+/// counts in `stats` (index_builds, index_cache_misses) and as the
+/// step's index_misses in `step_stats`; an index already current counts
+/// as an index_hit. Both may be null. Call on one thread while no rule
+/// executes: binding is the only place indexes change during
+/// evaluation, and executors only read what was bound.
+Status BindRule(const RulePlan& plan, const RelationSlots& slots,
+                int delta_step, bool use_indexes, EvalStats* stats,
+                RuleStepStats* step_stats, std::vector<BoundStep>* bound);
+
+/// Evaluates one rule bottom-up over the relations BindRule resolved
+/// for the same `delta_step`, staging derived head tuples into `out`.
+/// Whether a staged tuple is new, and what that costs, is for the
+/// caller to decide against the full relation (the stratum driver's
+/// commit).
+Status EvaluateRuleInto(const RulePlan& plan,
+                        const std::vector<BoundStep>& bound,
+                        const EvalContext& ctx, int delta_step,
+                        Relation* out);
 
 }  // namespace idlog
 

@@ -35,6 +35,11 @@ struct PlanStep {
   bool is_id = false;          ///< Reads the materialized ID-relation.
   std::vector<int> group;      ///< ID grouping columns (0-based).
   std::vector<int> key_cols;   ///< Column positions in kKey mode.
+  /// Relation slot, set when the engine prepares the plan: the
+  /// predicate's index in the program's predicate table, or for an ID
+  /// step the index of its (predicate, group) pair among the program's
+  /// distinct ID-relations.
+  int rel = -1;
 
   // kBuiltin ------------------------------------------------------------
   BuiltinKind builtin = BuiltinKind::kEq;
@@ -49,6 +54,7 @@ struct PlanStep {
 /// order plus the head constructor.
 struct RulePlan {
   std::string head_pred;
+  int head = -1;  ///< head_pred's relation slot (see PlanStep::rel).
   std::vector<ArgSource> head_args;
   std::vector<PlanStep> steps;
   int num_slots = 0;

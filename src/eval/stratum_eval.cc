@@ -46,20 +46,34 @@ std::vector<int> JoinKeyPartitionCols(const RulePlan& plan) {
 
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
-                       const EvalContext& base_ctx,
-                       std::map<std::string, Relation>* derived,
+                       const EvalContext& ctx, RelationSlots slots,
                        bool seminaive,
                        StratumResume* resume,
                        const RoundBoundaryHook& on_round,
                        const std::set<std::string>* seed_preds) {
+  // The delta stays keyed by name, as the round hook and resume frames
+  // see it; after every swap the delta slots of this stratum's positive
+  // scans (the only steps a task differentiates) are pointed at it,
+  // null where the predicate gained nothing.
   std::map<std::string, Relation> delta;
+  auto replace_delta = [&](std::map<std::string, Relation>&& next) {
+    delta = std::move(next);
+    for (const RulePlan* plan : plans) {
+      for (int step : plan->positive_scan_steps) {
+        const PlanStep& scan = plan->steps[static_cast<size_t>(step)];
+        auto it = delta.find(scan.predicate);
+        slots.delta[static_cast<size_t>(scan.rel)] =
+            it == delta.end() ? nullptr : &it->second;
+      }
+    }
+  };
   uint64_t round = 0;
   const bool resuming = resume != nullptr;
   if (resuming) {
     // Continue at the checkpointed boundary: the saved round's delta
     // feeds round+1's differentiated scans, and round 0 (all rules over
     // full relations) already ran before the frame was cut.
-    delta = std::move(resume->delta);
+    replace_delta(std::move(resume->delta));
     round = resume->round;
   }
   // An incremental seed widens the *first* differentiated round to the
@@ -71,12 +85,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     seed_filter = stratum_preds;
     seed_filter.insert(seed_preds->begin(), seed_preds->end());
   }
-
-  EvalContext ctx = base_ctx;
-  ctx.delta = [&delta](const std::string& pred) -> const Relation* {
-    auto it = delta.find(pred);
-    return it == delta.end() ? nullptr : &it->second;
-  };
 
   // EXPLAIN ANALYZE: record this stratum's per-round delta sizes. The
   // series is a logical quantity (fixpoint contents are deterministic),
@@ -96,27 +104,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     }
   }
 
-  // Each round produces fresh delta relations; their index-cache
-  // entries must be evicted or the pointer-keyed cache grows with the
-  // number of fixpoint rounds (visible on long chains like the E10
-  // sum fold).
-  auto replace_delta = [&](std::map<std::string, Relation>&& next) {
-    if (ctx.index_caches != nullptr) {
-      for (auto& [pred, rel] : delta) {
-        (void)pred;
-        ctx.index_caches->erase(&rel);
-      }
-    }
-    delta = std::move(next);
-  };
-
-  // Shape a staging relation after the existing full relation.
-  auto staging_type = [&](const RulePlan& plan) -> RelationType {
-    const Relation* full = base_ctx.full(plan.head_pred);
-    return full != nullptr ? full->type()
-                           : RelationType(plan.head_args.size(), Sort::kU);
-  };
-
   // Fan-out of one (rule, delta_step) task. Only the heavy shape is
   // eligible: a semi-naive task whose delta scan is the *outermost*
   // plan step with no bound keys — then the serial emission order is
@@ -132,7 +119,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         !scan.key_cols.empty()) {
       return 1;
     }
-    const Relation* d = ctx.delta(scan.predicate);
+    const Relation* d = slots.delta[static_cast<size_t>(scan.rel)];
     if (d == nullptr || d->size() < kMinPartitionRows) return 1;
     int k = ctx.delta_partitions;
     if (k <= 0) k = ctx.pool != nullptr ? ctx.pool->size() : 1;
@@ -161,17 +148,18 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        std::map<std::string, Relation>* next_delta)
       -> Status {
     for (RoundTask& task : tasks) {
+      task.head = slots.derived[static_cast<size_t>(task.plan->head)];
       task.parts.resize(static_cast<size_t>(task.partitions));
       for (size_t p = 0; p < task.parts.size(); ++p) {
         RoundPart& part = task.parts[p];
         part.partition = static_cast<int>(p);
-        part.staged = Relation(staging_type(*task.plan));
+        part.staged = Relation(task.head->type());
         if (ctx.analyze != nullptr) {
           part.step_stats.steps.resize(task.plan->steps.size() + 1);
         }
       }
     }
-    IDLOG_RETURN_NOT_OK(RunRoundTasks(ctx, ctx.pool, &tasks));
+    IDLOG_RETURN_NOT_OK(RunRoundTasks(ctx, slots, &tasks));
 
     // Find where the serial loop would have stopped: the first part,
     // in (task, partition) order, with a real error. Abort markers are
@@ -243,13 +231,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {
-        Relation& full = (*derived)[task.plan->head_pred];
-        // The staged relation was typed before this entry existed, so
-        // its type is the authoritative shape for a new full relation.
-        RelationType type = task.parts[0].staged.type();
-        if (full.arity() == 0 && full.empty() && !type.empty()) {
-          full = Relation(type);
-        }
+        Relation& full = *task.head;
         Relation* fresh = nullptr;
         auto commit_tuple = [&](const Tuple& t) {
           if (!full.Insert(t)) return;
@@ -258,7 +240,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           if (next_delta != nullptr) {
             if (fresh == nullptr) {
               fresh = &next_delta->try_emplace(task.plan->head_pred,
-                                               Relation(type))
+                                               Relation(full.type()))
                            .first->second;
             }
             fresh->Insert(t);
@@ -352,11 +334,10 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         args.push_back(TraceArg::Int("stratum", ctx.stratum));
         args.push_back(TraceArg::Num("round", round));
         if (task.delta_step >= 0) {
-          const std::string& pred =
-              task.plan->steps[static_cast<size_t>(task.delta_step)]
-                  .predicate;
-          const Relation* d = ctx.delta ? ctx.delta(pred) : nullptr;
-          args.push_back(TraceArg::Str("delta", pred));
+          const size_t step = static_cast<size_t>(task.delta_step);
+          const Relation* d = task.bound[step].rel;
+          args.push_back(
+              TraceArg::Str("delta", task.plan->steps[step].predicate));
           args.push_back(
               TraceArg::Num("delta_size", d != nullptr ? d->size() : 0));
           // The partition fanout is deliberately NOT a trace arg: traces

@@ -40,15 +40,17 @@ using RoundBoundaryHook = std::function<Status(
 ///
 /// `plans` are the compiled rules whose heads belong to this stratum;
 /// `stratum_preds` the predicates defined here (everything else the
-/// rules read is complete). `derived` maps IDB predicate names to their
-/// relations, which this function extends in place. With
+/// rules read is complete). `slots` holds every relation the plans read
+/// and the derived relations their commits extend in place; this
+/// function sets the delta slots of its own copy each round. With
 /// `seminaive=false` every rule re-runs in full each round (the naive
 /// ablation baseline of bench E4); otherwise rounds after the first use
 /// delta differentiation on intra-stratum positive scans.
 ///
 /// `resume`, when set, continues a checkpointed fixpoint instead of
-/// starting at round 0 (the caller must have restored `derived` to the
-/// matching round boundary); it is consumed (the delta is moved out).
+/// starting at round 0 (the caller must have restored the derived
+/// relations to the matching round boundary); it is consumed (the delta
+/// is moved out).
 /// `on_round`, when set, observes every round boundary.
 ///
 /// `seed_preds`, when set (requires `resume` and semi-naive mode),
@@ -62,8 +64,7 @@ using RoundBoundaryHook = std::function<Status(
 /// stratum's own growth keeps propagating).
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
-                       const EvalContext& base_ctx,
-                       std::map<std::string, Relation>* derived,
+                       const EvalContext& ctx, RelationSlots slots,
                        bool seminaive,
                        StratumResume* resume = nullptr,
                        const RoundBoundaryHook& on_round = nullptr,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "common/failpoint.h"
@@ -17,68 +16,39 @@ namespace {
 constexpr const char kAbortMarker[] =
     "round aborted: an earlier task in this round failed";
 
-/// Builds or refreshes, on the calling thread, every column index the
-/// tasks can reach, so workers never mutate the shared cache. The set
-/// is enumerable up front because each plan step scans one fixed
-/// relation (its predicate's full, delta, or ID relation) with fixed
-/// key columns.
-Status PrebuildIndexes(const EvalContext& ctx,
-                       const std::vector<RoundTask>& tasks) {
-  if (!ctx.use_indexes || ctx.index_caches == nullptr) return Status::OK();
-  for (const RoundTask& task : tasks) {
-    const RulePlan& plan = *task.plan;
-    for (size_t i = 0; i < plan.steps.size(); ++i) {
-      const PlanStep& step = plan.steps[i];
-      if (step.kind != PlanStep::Kind::kScan || step.key_cols.empty()) {
-        continue;
-      }
-      const Relation* rel = nullptr;
-      if (step.is_id) {
-        IDLOG_ASSIGN_OR_RETURN(rel,
-                               ctx.id_relation(step.predicate, step.group));
-      } else if (static_cast<int>(i) == task.delta_step) {
-        rel = ctx.delta ? ctx.delta(step.predicate) : nullptr;
-      } else {
-        rel = ctx.full(step.predicate);
-      }
-      if (rel == nullptr || rel->empty()) continue;
-      auto it = ctx.index_caches->find(rel);
-      if (it == ctx.index_caches->end()) {
-        it = ctx.index_caches
-                 ->emplace(rel, std::make_unique<IndexCache>(rel))
-                 .first;
-      }
-      bool rebuilt = false;
-      (void)it->second->Get(step.key_cols, &rebuilt);
-      // Physical index work moves into this coordinator pre-build under
-      // --jobs; the counters are physical (like wall times) and are not
-      // compared across serial/parallel runs.
-      if (rebuilt && ctx.stats != nullptr) {
-        ++ctx.stats->index_builds;
-        ++ctx.stats->index_cache_misses;
-      }
-    }
+/// Runs `fn` and converts any exception escaping it into an Internal
+/// status naming `what`. Rule binding and evaluation report through
+/// Status, but anything they call could still throw (and the
+/// fault-injection harness does, on purpose), so exactly one error
+/// reaches the driver and neither the pool nor the caller ever sees an
+/// exception.
+template <typename Fn>
+Status CatchAsStatus(const char* what, Fn&& fn) {
+  try {
+    return fn();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string(what) + " threw: " + e.what());
+  } catch (...) {
+    return Status::Internal(std::string(what) +
+                            " threw a non-standard exception");
   }
-  return Status::OK();
 }
 
 /// Evaluates one part: sets up the part-private context (counters,
 /// per-step buffer, provenance store, partition slice) and converts any
-/// escaping exception into the part's Status. `pooled` selects the
-/// lookup-only index mode for pool workers.
+/// escaping exception into the part's Status.
 void RunPart(const EvalContext& base_ctx, const RoundTask& task,
-             RoundPart* part, std::atomic<bool>* abort, bool pooled) {
+             RoundPart* part, std::atomic<bool>* abort) {
   if (abort->load(std::memory_order_relaxed)) {
     part->status = Status::Internal(kAbortMarker);
     return;
   }
   EvalContext ctx = base_ctx;
   ctx.stats = &part->stats;
-  ctx.parallel_worker = pooled;
-  ctx.defer_inserts = true;
   // Observability attribution happens in the driver's deterministic
-  // merge; parts only measure. Per-step counters go to the part's
-  // private buffer, never the shared PlanAnalysis.
+  // merge; parts only measure, into private counters and a private
+  // per-step buffer, and never touch the shared trace, profile or
+  // analysis.
   ctx.trace = nullptr;
   ctx.profile = nullptr;
   ctx.analyze = nullptr;
@@ -97,25 +67,13 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   }
   if (base_ctx.trace != nullptr) part->start_us = base_ctx.trace->NowUs();
   auto t0 = std::chrono::steady_clock::now();
-  // Rule evaluation reports through Status, but anything it calls
-  // could still throw (and the fault-injection harness does, on
-  // purpose): convert to a Status here so exactly one error reaches
-  // the driver and the pool never sees an exception.
-  try {
-    Status fp = Status::OK();
+  part->status = CatchAsStatus("round task", [&] {
     if (Failpoints::AnyArmed()) {
-      fp = Failpoints::Instance().OnHit("exec.round.task");
+      IDLOG_RETURN_NOT_OK(Failpoints::Instance().OnHit("exec.round.task"));
     }
-    part->status = fp.ok() ? EvaluateRuleInto(*task.plan, ctx,
-                                              task.delta_step, &part->staged)
-                           : fp;
-  } catch (const std::exception& e) {
-    part->status =
-        Status::Internal(std::string("round task threw: ") + e.what());
-  } catch (...) {
-    part->status = Status::Internal("round task threw a non-standard "
-                                    "exception");
-  }
+    return EvaluateRuleInto(*task.plan, task.bound, ctx, task.delta_step,
+                            &part->staged);
+  });
   part->self_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -129,43 +87,46 @@ bool IsRoundAbortMarker(const Status& s) {
   return !s.ok() && s.message() == kAbortMarker;
 }
 
-Status RunRoundTasks(const EvalContext& base_ctx, ThreadPool* pool,
+Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
                      std::vector<RoundTask>* tasks) {
+  // Bind every task here, before any part runs: each step's relation
+  // comes from the slots and each index a keyed scan probes is built or
+  // extended now, on this thread, so no part ever mutates an index. The
+  // bind statistics go to the first part, whose counters the driver
+  // always folds in for a task it reaches.
   size_t total_parts = 0;
-  for (const RoundTask& task : *tasks) total_parts += task.parts.size();
+  for (RoundTask& task : *tasks) {
+    RoundPart& first = task.parts.front();
+    IDLOG_RETURN_NOT_OK(CatchAsStatus("round task bind", [&] {
+      return BindRule(
+          *task.plan, slots, task.delta_step, base_ctx.use_indexes,
+          &first.stats,
+          first.step_stats.steps.empty() ? nullptr : &first.step_stats,
+          &task.bound);
+    }));
+    total_parts += task.parts.size();
+  }
 
   // One failed (or throwing) part cancels the round: parts not yet
   // started when the flag goes up return an abort marker instead of
   // evaluating. The driver's in-order merge skips the markers and
   // surfaces the first real error.
   std::atomic<bool> abort{false};
-
-  const bool pooled = pool != nullptr && pool->size() > 1 && total_parts > 1;
-  if (!pooled) {
-    // Serial mode: the same task machinery, run in order on the calling
-    // thread. Indexes build lazily inside the evaluation (mutable
-    // cache access), exactly as the pre-task serial loop did.
-    for (RoundTask& task : *tasks) {
-      for (RoundPart& part : task.parts) {
-        RunPart(base_ctx, task, &part, &abort, /*pooled=*/false);
-      }
-    }
-    return Status::OK();
-  }
-
-  IDLOG_RETURN_NOT_OK(PrebuildIndexes(base_ctx, *tasks));
   std::vector<std::function<void()>> jobs;
   jobs.reserve(total_parts);
   for (RoundTask& task : *tasks) {
-    RoundTask* tp = &task;
     for (RoundPart& part : task.parts) {
-      RoundPart* pp = &part;
-      jobs.push_back([&base_ctx, &abort, tp, pp] {
-        RunPart(base_ctx, *tp, pp, &abort, /*pooled=*/true);
+      jobs.push_back([&base_ctx, &abort, &task, &part] {
+        RunPart(base_ctx, task, &part, &abort);
       });
     }
   }
-  pool->Run(std::move(jobs));
+  ThreadPool* pool = base_ctx.pool;
+  if (pool != nullptr && pool->size() > 1 && jobs.size() > 1) {
+    pool->Run(std::move(jobs));
+  } else {
+    for (const std::function<void()>& job : jobs) job();
+  }
   return Status::OK();
 }
 

@@ -14,8 +14,6 @@
 
 namespace idlog {
 
-class ThreadPool;
-
 /// One partition's share of a round task: its private staging, private
 /// counters, private provenance and its status. Unpartitioned tasks
 /// have exactly one part covering the whole delta.
@@ -68,29 +66,30 @@ struct RoundTask {
                                 ///< Delta columns hashed to pick an
                                 ///< owner (empty = whole row).
   std::vector<RoundPart> parts; ///< Sized `partitions` by the driver.
+  Relation* head = nullptr;     ///< The full relation Commit inserts
+                                ///< into (set by the driver).
+  std::vector<BoundStep> bound; ///< Per plan step: relation and index
+                                ///< (set by RunRoundTasks).
 };
 
-/// Evaluates every part of every task, each into its private `staged`
-/// relation with private `stats`, and returns when all have finished.
-///
-/// With a pool (and more than one part), parts run concurrently: the
-/// executor pre-builds (serially, via `base_ctx.index_caches`) every
-/// column index any task can touch, and workers run with
-/// `EvalContext::parallel_worker` set, which makes index access
-/// lookup-only (IndexCache::FindFresh). Without a pool — or with a
-/// single part — parts run sequentially on the calling thread with the
-/// ordinary lazy mutable index builds, so a serial run keeps its
-/// physical index counters. Both modes run with
-/// `EvalContext::defer_inserts`: staged-insert accounting
-/// (facts_inserted, emit rows_emitted, governor OnDerived charges,
-/// provenance byte charges) is the driver's job at Commit, where "new"
-/// is judged against the full relation — the definition that is
-/// invariant across jobs and partition counts. The shared
-/// ResourceGovernor is still probed from all workers (it is
-/// thread-safe), so deadlines and cancellation interrupt long scans.
-/// When `base_ctx.provenance` is set, each part records derivations
-/// into its private `prov` store; the driver absorbs those stores in
-/// serial task order (partitions merged by `prov_order`).
+/// Binds every task (BindRule, on the calling thread: each step's
+/// relation from `slots`, each probed index built or extended, bind
+/// counters into the task's first part), then evaluates every part of
+/// every task, each into its private `staged` relation with private
+/// `stats`, and returns when all have finished. With `base_ctx.pool`
+/// set and more than one part, parts run concurrently; otherwise they
+/// run in order on the calling thread. Either way they read only what
+/// was bound, and the relations and indexes stay frozen until the
+/// driver commits. Staged-insert accounting (facts_inserted, emit
+/// rows_emitted, governor OnDerived charges, provenance byte charges)
+/// is the driver's job at Commit, where "new" is judged against the
+/// full relation — the definition that is invariant across jobs and
+/// partition counts. The shared ResourceGovernor is still probed from
+/// all workers (it is thread-safe), so deadlines and cancellation
+/// interrupt long scans. When `base_ctx.provenance` is set, each part
+/// records derivations into its private `prov` store; the driver
+/// absorbs those stores in serial task order (partitions merged by
+/// `prov_order`).
 ///
 /// Per-part failures are reported in RoundPart::status and left to the
 /// driver. A failing (or throwing — exceptions are converted to Status
@@ -99,11 +98,12 @@ struct RoundTask {
 /// in index order, but claim order is not completion order — a part
 /// claimed before the failure can still observe the abort flag after a
 /// later-indexed part failed, so the driver must skip abort markers and
-/// surface the first *real* error in part order (RoundAborted
+/// surface the first *real* error in part order (IsRoundAbortMarker
 /// identifies the markers). A governor trip additionally latches, so
 /// parts already running unwind at their next checkpoint. The returned
-/// Status covers executor-level failures only (index pre-build).
-Status RunRoundTasks(const EvalContext& base_ctx, ThreadPool* pool,
+/// Status covers binding failures only, an exception thrown while
+/// binding (converted to Internal) included.
+Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
                      std::vector<RoundTask>* tasks);
 
 /// True if `s` is the synthetic "round aborted" marker RunRoundTasks

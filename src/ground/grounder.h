@@ -52,15 +52,14 @@ struct GroundProgram {
 /// instantiation, not used as generators). Clauses whose body is
 /// refuted by a built-in are dropped; satisfied built-ins disappear.
 ///
-/// Resource governance: with `governor` set, every instantiation
-/// checkpoints against it (deadline, cancellation) and every emitted
-/// ground clause charges the tuple/memory budgets; `max_instantiations`
-/// is then ignored. Without a governor the deprecated
-/// `max_instantiations` cap still applies, implemented as a local
-/// governor tuple budget (ResourceExhausted on overflow either way).
+/// Resource governance: every instantiation checkpoints against the
+/// governor (deadline, cancellation) and every emitted ground clause
+/// charges its tuple/memory budgets (ResourceExhausted on overflow).
+/// Without one, a local governor allows kDefaultMaxInstantiations
+/// ground clauses.
+constexpr uint64_t kDefaultMaxInstantiations = 1000000;
 Result<GroundProgram> GroundDisjunctive(const DisjunctiveProgram& program,
                                         const Database& database,
-                                        uint64_t max_instantiations = 1000000,
                                         ResourceGovernor* governor = nullptr);
 
 /// Convenience: converts a plain single-head Program (ordinary atoms,

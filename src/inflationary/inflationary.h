@@ -48,14 +48,15 @@ struct InfOptions {
   InfLanguage language = InfLanguage::kDL;
   InfMode mode = InfMode::kNonDeterministic;
   uint64_t seed = 0;            ///< Random instantiation choice.
-  /// Deprecated firing cap (N-DATALOG may not terminate); applied as a
-  /// local governor iteration budget when `governor` is null.
-  uint64_t max_steps = 100000;
   uint64_t max_invented = 1000; ///< Cap on invented u-constants.
-  /// Shared resource governor (deadline, tuple/memory budgets,
-  /// cancellation). When set it supersedes max_steps. Not owned.
+  /// Shared resource governor (deadline, budgets, cancellation); each
+  /// firing step is one iteration. Null: a local governor allows
+  /// kDefaultMaxInflationarySteps steps (N-DATALOG may not terminate).
+  /// Not owned.
   ResourceGovernor* governor = nullptr;
 };
+
+constexpr uint64_t kDefaultMaxInflationarySteps = 100000;
 
 /// Converts a standard single-head Program (no ID-atoms, no choice)
 /// into an InfProgram.
@@ -70,15 +71,15 @@ Result<Database> EvaluateInflationary(const InfProgram& program,
 
 /// Exhaustively enumerates the possible final answers of `query_pred`
 /// over all firing orders (DFS with state memoization). Exponential;
-/// for the small instances of tests and bench E8. `max_states` caps the
-/// number of distinct visited states (deprecated shim — a governor
-/// tuple budget when `governor` is null; ignored otherwise). With a
-/// governor, deadline/cancellation are observed once per visited state.
+/// for the small instances of tests and bench E8. Each distinct visited
+/// state charges one tuple to the governor and observes its
+/// deadline/cancellation. Without a governor, a local one allows
+/// kDefaultMaxInflationaryStates visited states.
+constexpr uint64_t kDefaultMaxInflationaryStates = 100000;
 Result<AnswerSet> EnumerateInflationaryAnswers(const InfProgram& program,
                                                const Database& database,
                                                const std::string& query_pred,
                                                InfLanguage language,
-                                               uint64_t max_states = 100000,
                                                ResourceGovernor* governor =
                                                    nullptr);
 

@@ -40,7 +40,6 @@ const GroundClause* FindViolated(const GroundProgram& ground,
 }  // namespace
 
 Result<std::vector<AtomSet>> MinimalModels(const GroundProgram& ground,
-                                           uint64_t max_states,
                                            ResourceGovernor* governor) {
   for (const GroundClause& clause : ground.clauses) {
     if (!clause.negative.empty()) {
@@ -50,10 +49,9 @@ Result<std::vector<AtomSet>> MinimalModels(const GroundProgram& ground,
     }
   }
 
-  // Legacy max_states as a governor tuple budget: one "tuple" per
-  // distinct explored candidate model.
+  // One "tuple" per distinct explored candidate model.
   ResourceGovernor local;
-  ArmLegacyTupleCap(&local, max_states);
+  local.Arm(EvalLimits::TupleBudget(kDefaultMaxModelStates));
   ResourceGovernor* gov = governor != nullptr ? governor : &local;
   gov->set_scope("minimal-model search");
   TraceSpan span(gov->trace_sink(), "minimal-model search", "models");

@@ -24,12 +24,11 @@ using AtomSet = std::set<GroundAtom>;
 /// need perfect models, which the stable-model module covers for the
 /// single-head case.
 ///
-/// `max_states` caps the branch exploration (deprecated shim — a
-/// governor tuple budget when `governor` is null; ignored otherwise).
-/// With a governor, each explored state charges the budgets and
-/// checkpoints the deadline/cancellation token.
+/// Each explored state charges the governor's budgets and checkpoints
+/// its deadline/cancellation token. Without a governor, a local one
+/// allows kDefaultMaxModelStates explored states.
+constexpr uint64_t kDefaultMaxModelStates = 100000;
 Result<std::vector<AtomSet>> MinimalModels(const GroundProgram& ground,
-                                           uint64_t max_states = 100000,
                                            ResourceGovernor* governor =
                                                nullptr);
 

@@ -16,22 +16,6 @@ uint64_t RelationApproxBytes(const Relation& rel) {
          ApproxTupleBytes(static_cast<size_t>(rel.arity()));
 }
 
-/// Attributes the relation's cached indexes (if any) onto `row`.
-void AttachIndexStats(
-    const Relation* rel,
-    const std::map<const Relation*, std::unique_ptr<IndexCache>>* caches,
-    RelationStorageStats* row) {
-  if (caches == nullptr) return;
-  auto it = caches->find(rel);
-  if (it == caches->end() || it->second == nullptr) return;
-  for (const auto& [cols, index] : it->second->indexes()) {
-    row->indexes += 1;
-    row->index_keys += index.num_keys();
-    row->index_entries += index.num_entries();
-    row->index_bytes += index.approx_bytes();
-  }
-}
-
 RelationStorageStats MakeRow(std::string name, std::string kind,
                              const Relation& rel) {
   RelationStorageStats row;
@@ -42,6 +26,13 @@ RelationStorageStats MakeRow(std::string name, std::string kind,
   row.version = rel.version();
   row.clear_generation = rel.clear_generation();
   row.approx_bytes = RelationApproxBytes(rel);
+  for (const auto& [cols, index] : rel.indexes()) {
+    (void)cols;
+    row.indexes += 1;
+    row.index_keys += index.num_keys();
+    row.index_entries += index.num_entries();
+    row.index_bytes += index.approx_bytes();
+  }
   return row;
 }
 
@@ -75,9 +66,9 @@ StorageStats CollectStorageStats(const StorageStatsView& view) {
       auto rel = view.database->Get(name);
       if (!rel.ok()) continue;
       RelationStorageStats row = MakeRow(name, "edb", *rel.value());
-      AttachIndexStats(rel.value(), view.index_caches, &row);
       out.edb_tuples += row.tuples;
       out.edb_bytes += row.approx_bytes;
+      out.edb_index_bytes += row.index_bytes;
       out.relations.push_back(std::move(row));
     }
   }
@@ -86,7 +77,6 @@ StorageStats CollectStorageStats(const StorageStatsView& view) {
   if (view.derived != nullptr) {
     for (const auto& [name, rel] : *view.derived) {
       RelationStorageStats row = MakeRow(name, "derived", rel);
-      AttachIndexStats(&rel, view.index_caches, &row);
       out.derived_tuples += row.tuples;
       out.derived_bytes += row.approx_bytes;
       out.relations.push_back(std::move(row));
@@ -96,7 +86,6 @@ StorageStats CollectStorageStats(const StorageStatsView& view) {
   // The synthesized u-domain relation, when the program materialized it.
   if (view.udom != nullptr && !view.udom->empty()) {
     RelationStorageStats row = MakeRow("udom", "udom", *view.udom);
-    AttachIndexStats(view.udom, view.index_caches, &row);
     out.udom_tuples += row.tuples;
     out.udom_bytes += row.approx_bytes;
     out.relations.push_back(std::move(row));
@@ -107,7 +96,6 @@ StorageStats CollectStorageStats(const StorageStatsView& view) {
     for (const auto& [key, rel] : *view.id_relations) {
       RelationStorageStats row = MakeRow(key.first, "id", rel);
       row.group = key.second;
-      AttachIndexStats(&rel, view.index_caches, &row);
       out.id_tuples += row.tuples;
       out.id_bytes += row.approx_bytes;
       out.id_relations.push_back(std::move(row));
@@ -222,7 +210,8 @@ std::string StorageStats::ToTable() const {
   os << "  total (logical)   " << total_approx_bytes() << "\n";
   if (has_governor) {
     os << "governor: memory_charged=" << governor_memory_bytes
-       << "  accounted(derived+id+provenance)=" << accounted_bytes << "\n";
+       << "  accounted(derived+id+provenance)=" << accounted_bytes
+       << "  uncharged edb indexes=" << edb_index_bytes << "\n";
   }
   return os.str();
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/symbol_table.h"
 #include "eval/provenance.h"
 #include "storage/database.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 #include "storage/tid_assigner.h"
 
@@ -23,10 +21,10 @@ namespace idlog {
 /// byte-identical across --jobs/--partitions settings: tuple contents,
 /// committed-insert counts and the byte formula all live on the
 /// deterministic side of the executor's commit contract. The index_*
-/// fields are physical — which indexes exist and how often they were
-/// built depends on lazy-vs-eager build scheduling — so they appear in
-/// the text table only, never in the JSON document (same split as
-/// EXPLAIN's index_builds counters).
+/// fields are physical — the indexes a relation owns, which for EDB
+/// relations outlive a run, so they depend on what ran before — so they
+/// appear in the text table only, never in the JSON document (same
+/// split as EXPLAIN's index_builds counters).
 struct RelationStorageStats {
   std::string name;
   std::string kind;        ///< "edb", "derived", "udom" or "id".
@@ -87,6 +85,10 @@ struct StorageStats {
   uint64_t total_index_keys = 0;
   uint64_t total_index_entries = 0;
   uint64_t total_index_bytes = 0;
+  /// The share of total_index_bytes on EDB relations: those indexes
+  /// stay with the database across runs (until the next program load)
+  /// and, like EDB tuples, are never charged to the governor.
+  uint64_t edb_index_bytes = 0;
 
   uint64_t total_tuples() const {
     return edb_tuples + derived_tuples + udom_tuples + id_tuples;
@@ -116,8 +118,6 @@ struct StorageStatsView {
   const std::map<std::pair<std::string, std::vector<int>>, Relation>*
       id_relations = nullptr;
   const Relation* udom = nullptr;  ///< Synthesized u-domain, if built.
-  const std::map<const Relation*, std::unique_ptr<IndexCache>>*
-      index_caches = nullptr;
   const ProvenanceStore* provenance = nullptr;
   const TidAssigner* assigner = nullptr;
   const ResourceGovernor* governor = nullptr;

@@ -52,10 +52,11 @@ class RewriteLog {
 /// rows_emitted / rows_scanned is the step's observed selectivity.
 /// `index_probes` counts index Lookup calls; these three are logical
 /// counters, identical across --jobs settings. `index_hits` /
-/// `index_misses` describe the physical cache behaviour (a fresh cached
-/// index served the entry vs. a build/refresh or, for parallel workers,
-/// a FindFresh fallback) and may legitimately differ between serial and
-/// parallel execution, like timings.
+/// `index_misses` count physical index work when a round binds the
+/// step's task: the step's index was already current vs. built or
+/// extended. They are identical across --jobs settings too, but depend
+/// on what earlier runs left built (EDB indexes outlive a run), so like
+/// timings they stay out of the JSON document.
 struct StepCounters {
   uint64_t rows_in = 0;
   uint64_t rows_scanned = 0;

@@ -20,6 +20,11 @@ namespace idlog {
 /// stored tuple plus any constants registered explicitly (the paper's
 /// database is a pair (u-domain=D; r1..rn) where D may exceed the active
 /// domain).
+///
+/// Evaluation builds column indexes inside the stored relations (see
+/// Relation::IndexOn), through a const Database too, and they outlive
+/// the run until DropIndexes; so two evaluations must not read one
+/// Database at once.
 class Database {
  public:
   explicit Database(SymbolTable* symbols) : symbols_(symbols) {}
@@ -60,6 +65,12 @@ class Database {
 
   /// The u-domain as a sorted set of symbol ids.
   const std::set<SymbolId>& u_domain() const { return u_domain_; }
+
+  /// Frees every index built in the stored relations. IdlogEngine
+  /// calls it when it loads a program, which probes other columns.
+  void DropIndexes() {
+    for (auto& entry : relations_) entry.second.DropIndexes();
+  }
 
   /// Relation names in creation order.
   const std::vector<std::string>& relation_names() const { return names_; }

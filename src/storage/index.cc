@@ -3,15 +3,15 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
+#include "storage/relation.h"
 
 namespace idlog {
 
 namespace {
 
-/// Black-box breadcrumb for one physical index build/refresh. The
+/// Black-box breadcrumb for one physical index build or extension. The
 /// label names the key columns; the payload carries the rows indexed
-/// and distinct keys. Physical-only (never part of the --jobs
-/// byte-identity contract), like the index_builds counter it mirrors.
+/// and distinct keys, like the index_builds counter it mirrors.
 void RecordIndexBuildEvent(const ColumnIndex& index) {
   if (!FlightRecorder::Enabled()) return;
   char cols[sizeof(FlightEvent::label)];
@@ -29,72 +29,17 @@ void RecordIndexBuildEvent(const ColumnIndex& index) {
 
 }  // namespace
 
-ColumnIndex::ColumnIndex(const Relation* relation, std::vector<int> cols)
-    : relation_(relation), cols_(std::move(cols)) {
-  Build();
-}
-
-void ColumnIndex::Build() {
-  buckets_.clear();
-  const auto& rows = relation_->tuples();
-  for (size_t i = 0; i < rows.size(); ++i) {
+void ColumnIndex::Extend(const std::vector<Tuple>& rows) {
+  for (size_t i = indexed_rows_; i < rows.size(); ++i) {
     buckets_[ProjectTuple(rows[i], cols_)].push_back(i);
   }
-  built_version_ = relation_->version();
-  built_uid_ = relation_->uid();
-  built_clear_generation_ = relation_->clear_generation();
-  built_rows_ = rows.size();
-}
-
-bool ColumnIndex::fresh() const {
-  return built_version_ == relation_->version() &&
-         built_uid_ == relation_->uid();
-}
-
-void ColumnIndex::Refresh() {
-  if (fresh()) return;
-  // Within one identity (uid) and clear generation, relations only
-  // grow; extend incrementally then. A Clear() keeps the uid and may be
-  // followed by regrowth past the old row count, so the generation
-  // check is what forces the rebuild that drops the stale buckets.
-  const auto& rows = relation_->tuples();
-  if (built_uid_ == relation_->uid() &&
-      built_clear_generation_ == relation_->clear_generation() &&
-      rows.size() >= built_rows_) {
-    for (size_t i = built_rows_; i < rows.size(); ++i) {
-      buckets_[ProjectTuple(rows[i], cols_)].push_back(i);
-    }
-    built_rows_ = rows.size();
-    built_version_ = relation_->version();
-  } else {
-    Build();
-  }
+  indexed_rows_ = rows.size();
+  RecordIndexBuildEvent(*this);
 }
 
 const std::vector<size_t>* ColumnIndex::Lookup(const Tuple& key) const {
   auto it = buckets_.find(key);
   if (it == buckets_.end()) return nullptr;
-  return &it->second;
-}
-
-const ColumnIndex& IndexCache::Get(const std::vector<int>& cols,
-                                   bool* rebuilt) {
-  auto it = indexes_.find(cols);
-  if (it == indexes_.end()) {
-    it = indexes_.emplace(cols, ColumnIndex(relation_, cols)).first;
-    if (rebuilt != nullptr) *rebuilt = true;
-    RecordIndexBuildEvent(it->second);
-  } else if (!it->second.fresh()) {
-    it->second.Refresh();
-    if (rebuilt != nullptr) *rebuilt = true;
-    RecordIndexBuildEvent(it->second);
-  }
-  return it->second;
-}
-
-const ColumnIndex* IndexCache::FindFresh(const std::vector<int>& cols) const {
-  auto it = indexes_.find(cols);
-  if (it == indexes_.end() || !it->second.fresh()) return nullptr;
   return &it->second;
 }
 

@@ -1,27 +1,26 @@
 #ifndef IDLOG_STORAGE_INDEX_H_
 #define IDLOG_STORAGE_INDEX_H_
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
-#include "storage/relation.h"
 
 namespace idlog {
 
-/// A hash index over a column subset of a Relation. Maps a key (the
-/// projection of a tuple onto `cols`) to the row positions holding it.
+/// A hash index over a column subset of a relation's rows. Maps a key
+/// (the projection of a row onto `cols`) to the positions holding it.
+/// The index keeps no pointer to the rows: its owner (Relation) hands
+/// them to Extend and drops the index whenever rows stop being
+/// append-only, so the rows indexed so far are always a prefix of the
+/// owner's current rows.
 class ColumnIndex {
  public:
-  ColumnIndex(const Relation* relation, std::vector<int> cols);
+  explicit ColumnIndex(std::vector<int> cols) : cols_(std::move(cols)) {}
 
-  /// Rebuilds if the relation changed since construction/last refresh.
-  void Refresh();
-
-  /// True when the index matches the relation's current contents (same
-  /// uid and version), i.e. Lookup() is safe without a Refresh().
-  bool fresh() const;
+  /// Indexes the rows appended since the last call, i.e. positions
+  /// [num_entries(), rows.size()).
+  void Extend(const std::vector<Tuple>& rows);
 
   /// Returns row positions matching `key` (projected values in `cols`
   /// order), or nullptr if none.
@@ -29,65 +28,23 @@ class ColumnIndex {
 
   const std::vector<int>& cols() const { return cols_; }
 
-  /// Storage accounting (obs/dbstats). Entry counts reflect the last
-  /// Build/Refresh, like Lookup() results.
+  /// Storage accounting (obs/dbstats).
   size_t num_keys() const { return buckets_.size(); }
   /// One posting per indexed row.
-  size_t num_entries() const { return built_rows_; }
+  size_t num_entries() const { return indexed_rows_; }
   /// Approximate heap bytes of the bucket map: per key the projected
   /// key tuple plus hash-node and posting-vector overhead, plus 8 bytes
   /// per posting (a row position).
   uint64_t approx_bytes() const {
     return static_cast<uint64_t>(buckets_.size()) *
                (static_cast<uint64_t>(cols_.size()) * 16 + 80) +
-           static_cast<uint64_t>(built_rows_) * 8;
+           static_cast<uint64_t>(indexed_rows_) * 8;
   }
 
  private:
-  void Build();
-
-  const Relation* relation_;
   std::vector<int> cols_;
-  uint64_t built_version_ = 0;
-  uint64_t built_uid_ = 0;
-  uint64_t built_clear_generation_ = 0;
-  size_t built_rows_ = 0;
+  size_t indexed_rows_ = 0;
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash> buckets_;
-};
-
-/// Caches ColumnIndexes per column subset for one Relation.
-class IndexCache {
- public:
-  explicit IndexCache(const Relation* relation) : relation_(relation) {}
-
-  IndexCache(const IndexCache&) = delete;
-  IndexCache& operator=(const IndexCache&) = delete;
-
-  /// Returns a fresh index on `cols` (built or refreshed on demand).
-  /// When `rebuilt` is non-null it is set to true if the call did
-  /// physical work — constructed the index or refreshed a stale one —
-  /// and left untouched otherwise (callers initialize it false), which
-  /// is what backs the index_builds/index_cache_misses counters.
-  const ColumnIndex& Get(const std::vector<int>& cols,
-                         bool* rebuilt = nullptr);
-
-  /// Read-only lookup for concurrent readers: the index on `cols` if it
-  /// exists and is fresh for the relation's current contents, nullptr
-  /// otherwise. Never builds or refreshes, so any number of threads may
-  /// call it while no thread mutates the cache. Callers falling back on
-  /// nullptr must verify key columns themselves.
-  const ColumnIndex* FindFresh(const std::vector<int>& cols) const;
-
-  /// The cached indexes, keyed by column subset (obs/dbstats walks
-  /// these for per-index entry counts and byte attribution).
-  const std::map<std::vector<int>, ColumnIndex>& indexes() const {
-    return indexes_;
-  }
-  size_t size() const { return indexes_.size(); }
-
- private:
-  const Relation* relation_;
-  std::map<std::vector<int>, ColumnIndex> indexes_;
 };
 
 }  // namespace idlog

@@ -1,15 +1,18 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/failpoint.h"
 
 namespace idlog {
 
-uint64_t Relation::NextUid() {
-  static std::atomic<uint64_t> counter{0};
-  return ++counter;
+Relation::Relation(const Relation& o)
+    : type_(o.type_), rows_(o.rows_), set_(o.set_), version_(o.version_),
+      clear_generation_(o.clear_generation_) {}
+
+Relation& Relation::operator=(const Relation& o) {
+  if (this != &o) *this = Relation(o);
+  return *this;
 }
 
 bool Relation::Insert(Tuple t) {
@@ -52,6 +55,7 @@ bool Relation::Erase(const Tuple& t) {
   }
   rows_.pop_back();
   set_.erase(it);
+  indexes_.clear();
   ++version_;
   ++clear_generation_;
   return true;
@@ -60,8 +64,19 @@ bool Relation::Erase(const Tuple& t) {
 void Relation::Clear() {
   rows_.clear();
   set_.clear();
+  indexes_.clear();
   ++version_;
   ++clear_generation_;
+}
+
+const ColumnIndex& Relation::IndexOn(const std::vector<int>& cols,
+                                     bool* built) const {
+  auto [it, created] = indexes_.try_emplace(cols, cols);
+  ColumnIndex& index = it->second;
+  const bool grew = index.num_entries() < rows_.size();
+  if (grew) index.Extend(rows_);
+  if (built != nullptr) *built = created || grew;
+  return index;
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {

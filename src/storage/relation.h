@@ -8,10 +8,12 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "storage/index.h"
 
 namespace idlog {
 
-/// A finite, typed, duplicate-free set of tuples.
+/// A finite, typed, duplicate-free set of tuples, plus the column
+/// indexes built over it.
 ///
 /// Iteration order is insertion order (with Erase moving the last row
 /// into the vacated slot), which makes runs repeatable: the same
@@ -21,35 +23,17 @@ namespace idlog {
 /// generic, so any order yields *a* legal ID-function.
 class Relation {
  public:
-  Relation() : uid_(NextUid()) {}
-  explicit Relation(RelationType type)
-      : type_(std::move(type)), uid_(NextUid()) {}
+  Relation() = default;
+  explicit Relation(RelationType type) : type_(std::move(type)) {}
 
-  Relation(const Relation& o)
-      : type_(o.type_), rows_(o.rows_), set_(o.set_), version_(o.version_),
-        uid_(NextUid()), clear_generation_(o.clear_generation_) {}
-  Relation& operator=(const Relation& o) {
-    type_ = o.type_;
-    rows_ = o.rows_;
-    set_ = o.set_;
-    version_ = o.version_;
-    uid_ = NextUid();  // contents replaced wholesale: new identity
-    clear_generation_ = o.clear_generation_;
-    return *this;
-  }
-  Relation(Relation&& o) noexcept
-      : type_(std::move(o.type_)), rows_(std::move(o.rows_)),
-        set_(std::move(o.set_)), version_(o.version_), uid_(NextUid()),
-        clear_generation_(o.clear_generation_) {}
-  Relation& operator=(Relation&& o) noexcept {
-    type_ = std::move(o.type_);
-    rows_ = std::move(o.rows_);
-    set_ = std::move(o.set_);
-    version_ = o.version_;
-    uid_ = NextUid();
-    clear_generation_ = o.clear_generation_;
-    return *this;
-  }
+  /// A copy takes the rows and counters but not the indexes, which are
+  /// a cache rebuilt on demand; copy assignment therefore drops the
+  /// target's indexes. A move carries the indexes along with the rows,
+  /// whose positions do not change.
+  Relation(const Relation& o);
+  Relation& operator=(const Relation& o);
+  Relation(Relation&&) noexcept = default;
+  Relation& operator=(Relation&&) noexcept = default;
 
   /// Inserts `t`; returns true if the tuple was new. The tuple arity
   /// must match the relation type (checked; mismatches are dropped and
@@ -70,31 +54,39 @@ class Relation {
   const RelationType& type() const { return type_; }
   int arity() const { return static_cast<int>(type_.size()); }
 
-  /// Monotonically increasing change counter (for index invalidation).
+  /// Monotonically increasing change counter (snapshots and db-stats
+  /// report it).
   uint64_t version() const { return version_; }
 
-  /// Identity token: unique per logical relation instance; changes when
-  /// the relation is wholesale replaced by assignment, so pointer-keyed
-  /// index caches can detect that incremental refresh is invalid.
-  uint64_t uid() const { return uid_; }
-
-  /// Bumped by every Clear(). Within one uid, rows only grow between
-  /// clear generations — an index built at an older generation must
-  /// rebuild even if the row count has grown back past what it indexed
-  /// (the rows at those positions are different tuples now).
+  /// Churn counter bumped by every Clear() and Erase() (snapshots and
+  /// db-stats report it).
   uint64_t clear_generation() const { return clear_generation_; }
 
   /// Removes one tuple; returns true if it was present. O(1): the last
   /// row moves into the erased slot (so erasure perturbs iteration
   /// order — deterministically, which is what replay equivalence
-  /// needs). Bumps the version *and* the clear generation: erasure
-  /// breaks the "rows only grow within a generation" contract that
-  /// incremental index refresh relies on, so indexes built earlier must
-  /// rebuild from scratch.
+  /// needs). Drops every index, since a row changed position.
   bool Erase(const Tuple& t);
 
-  /// Removes all tuples.
+  /// Removes all tuples and drops every index.
   void Clear();
+
+  /// The index on `cols`, built on first use and extended by the rows
+  /// appended since its last use; `*built` (when given) says whether it
+  /// did either. Rows only grow between the calls that drop every index
+  /// (Clear, Erase, copy assignment), so the row count alone tells what
+  /// is new. Not thread-safe: one thread builds while no other thread
+  /// reads this relation's indexes.
+  const ColumnIndex& IndexOn(const std::vector<int>& cols,
+                             bool* built = nullptr) const;
+
+  /// Frees every index; IndexOn rebuilds on demand.
+  void DropIndexes() { indexes_.clear(); }
+
+  /// The indexes built so far, by key columns (obs/dbstats).
+  const std::map<std::vector<int>, ColumnIndex>& indexes() const {
+    return indexes_;
+  }
 
   /// Overwrites the change counters. Snapshot decode only: a relation
   /// rebuilt from its serialized rows must report the same logical
@@ -113,16 +105,16 @@ class Relation {
   bool SetEquals(const Relation& other) const;
 
  private:
-  static uint64_t NextUid();
-
   RelationType type_;
   std::vector<Tuple> rows_;
   /// Membership plus each tuple's index in rows_, so Erase need not
   /// scan the row vector.
   std::unordered_map<Tuple, size_t, TupleHash> set_;
   uint64_t version_ = 0;
-  uint64_t uid_ = 0;
   uint64_t clear_generation_ = 0;
+  /// Built by IndexOn through const references (the database and the
+  /// stratum driver hand out const relations): a cache, not contents.
+  mutable std::map<std::vector<int>, ColumnIndex> indexes_;
 };
 
 /// Projects `t` onto `cols` (0-based), preserving the column order given.

@@ -363,5 +363,69 @@ TEST(CheckpointResume, TrippedRunWithoutCheckpointingCannotSave) {
   EXPECT_FALSE(engine.SaveCheckpoint(scratch.Path("late.snap")).ok());
 }
 
+// --------------------------------------------------------------------
+// Derived relations take the sorts of the stored data they come from.
+// Without a .decl, inference leaves the columns of an integer-only
+// transitive closure unconstrained (sort u); typing `path` that way put
+// integer tuples under a u-typed relation, and the snapshot holding it
+// could not be read back.
+
+TEST(CheckpointResume, UndeclaredIntegerColumnsResume) {
+  ScratchDir scratch("intcols");
+  const std::string program =
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  auto seed = [](IdlogEngine* engine) {
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(engine
+                      ->AddRow("edge", {std::to_string(i),
+                                        std::to_string(i + 1)})
+                      .ok());
+    }
+  };
+  IdlogEngine full;
+  seed(&full);
+  ASSERT_TRUE(full.LoadProgramText(program).ok());
+  auto expected = full.Query("path");
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(TypeToString((*expected)->type()), "11");
+
+  // A frame cut mid-fixpoint, then a completed one.
+  for (uint64_t max_iterations : {2, 0}) {
+    SCOPED_TRACE("max_iterations=" + std::to_string(max_iterations));
+    std::string snap =
+        scratch.Path("int" + std::to_string(max_iterations) + ".snap");
+    IdlogEngine source;
+    seed(&source);
+    ASSERT_TRUE(source.LoadProgramText(program).ok());
+    EvalLimits limits;
+    limits.max_iterations = max_iterations;
+    source.SetLimits(limits);
+    source.SetPartialResults(true);
+    source.SetCheckpoint(snap);
+    ASSERT_TRUE(source.Run().ok());
+
+    IdlogEngine resumed;
+    Status st = resumed.ResumeFromCheckpoint(snap);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(resumed.LoadProgramText(program).ok());
+    auto rel = resumed.Query("path");
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    EXPECT_EQ(Dump(**rel, resumed.symbols()),
+              Dump(**expected, full.symbols()));
+  }
+}
+
+// A program that constrains a column against the sort of the data
+// stored for it is a real conflict: Run reports it instead of deriving
+// a relation whose tuples disagree with its type.
+TEST(CheckpointResume, SortConflictWithStoredDataIsATypeError) {
+  IdlogEngine engine;
+  ASSERT_TRUE(engine.AddRow("emp", {"ann", "sales"}).ok());
+  ASSERT_TRUE(engine.LoadProgramText("low(A) :- emp(A, D), A < 5.").ok());
+  Status st = engine.Run();
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+}
+
 }  // namespace
 }  // namespace idlog

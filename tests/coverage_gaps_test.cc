@@ -128,7 +128,9 @@ TEST(CoverageGaps, ChoiceEnumerationBudgetExceeded) {
   auto prog = ParseProgram(
       "one(N) :- emp(N, D), choice((D), (N)).", &s);
   ASSERT_TRUE(prog.ok());
-  auto answers = EnumerateChoiceAnswers(*prog, db, "one", /*max_models=*/3);
+  ResourceGovernor governor;
+  governor.Arm(EvalLimits::TupleBudget(3));
+  auto answers = EnumerateChoiceAnswers(*prog, db, "one", &governor);
   EXPECT_EQ(answers.status().code(), StatusCode::kResourceExhausted);
 }
 

@@ -77,6 +77,32 @@ TEST(DbStats, TableListsEveryRelationAndComponents) {
   EXPECT_NE(table.find("edge[0]"), std::string::npos) << table;
 }
 
+// EDB relations keep the indexes a run builds in them, reported as
+// uncharged next to the governor's accounting, until the engine loads
+// another program.
+TEST(DbStats, EdbIndexesAreReportedAndDroppedOnProgramLoad) {
+  IdlogEngine engine;
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
+                                    "n" + std::to_string(i + 1)})
+                    .ok());
+  }
+  const char* kProgram =
+      "p(X, Y) :- e(X, Y)."
+      "p(X, Z) :- p(X, Y), e(Y, Z).";
+  ASSERT_TRUE(engine.LoadProgramText(kProgram).ok());
+  ASSERT_TRUE(engine.Run().ok());
+  StorageStats stats = engine.DbStats();
+  EXPECT_GT(stats.edb_index_bytes, 0u);
+  EXPECT_LE(stats.edb_index_bytes, stats.total_index_bytes);
+  EXPECT_NE(engine.DbStatsText().find(
+                "uncharged edb indexes=" +
+                std::to_string(stats.edb_index_bytes)),
+            std::string::npos);
+  ASSERT_TRUE(engine.LoadProgramText(kProgram).ok());
+  EXPECT_EQ(engine.DbStats().edb_index_bytes, 0u);
+}
+
 // --------------------------------------------------------------------
 // The sum invariant: for a fresh, complete, untripped run the governor
 // charged exactly the derived commits + ID materializations (+ the

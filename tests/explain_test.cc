@@ -46,7 +46,7 @@ void LoadCompany(IdlogEngine* engine) {
                   ->LoadProgramText(
                       "reps(N, D) :- emp[1](N, D, 0)."
                       "others(N) :- emp(N, D), not emp[1](N, D, 0)."
-                      "pair(A, B) :- reps(A, D), reps(B, D), A < B.")
+                      "pair(A, B) :- reps(A, D), reps(B, D), A != B.")
                   .ok());
 }
 

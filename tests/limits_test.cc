@@ -129,24 +129,6 @@ TEST(ResourceGovernor, TripAfterEngineDestroyedReadsNoDanglingStats) {
       << st.ToString();
 }
 
-TEST(ResourceGovernor, LegacyCapOfZeroRejectsFirstCharge) {
-  // The deprecated per-module caps rejected the first unit of work when
-  // 0; the shim helpers preserve that instead of going unlimited.
-  ResourceGovernor tuples;
-  ArmLegacyTupleCap(&tuples, 0);
-  EXPECT_EQ(tuples.OnDerived(1, 0).code(), StatusCode::kResourceExhausted);
-
-  ResourceGovernor two;
-  ArmLegacyTupleCap(&two, 2);
-  EXPECT_TRUE(two.OnDerived(1, 0).ok());
-  EXPECT_TRUE(two.OnDerived(1, 0).ok());
-  EXPECT_EQ(two.OnDerived(1, 0).code(), StatusCode::kResourceExhausted);
-
-  ResourceGovernor iters;
-  ArmLegacyIterationCap(&iters, 0);
-  EXPECT_EQ(iters.OnIteration().code(), StatusCode::kResourceExhausted);
-}
-
 TEST(Limits, DeadlineTripsNonTerminatingFixpoint) {
   IdlogEngine engine;
   ASSERT_TRUE(engine.LoadProgramText(kNonTerminating).ok());

@@ -66,9 +66,9 @@ TEST(Grounder, BudgetEnforced) {
   ASSERT_TRUE(parsed.ok());
   auto dis = DisjunctiveFromProgram(*parsed);
   ASSERT_TRUE(dis.ok());
-  EXPECT_EQ(GroundDisjunctive(*dis, db, /*max_instantiations=*/10)
-                .status()
-                .code(),
+  ResourceGovernor governor;
+  governor.Arm(EvalLimits::TupleBudget(10));
+  EXPECT_EQ(GroundDisjunctive(*dis, db, &governor).status().code(),
             StatusCode::kResourceExhausted);
 }
 

@@ -210,13 +210,12 @@ void ExpectSameStats(const EvalStats& serial, const EvalStats& parallel) {
   EXPECT_EQ(serial.id_groups_assigned, parallel.id_groups_assigned);
   EXPECT_EQ(serial.id_tuples_materialized,
             parallel.id_tuples_materialized);
-  // index_probes is a logical counter: the same joins probe the same
-  // keys regardless of --jobs. index_builds and index_cache_misses are
-  // NOT compared — they are physical (the serial path builds indexes
-  // lazily inside the executor, the parallel coordinator pre-builds
-  // them eagerly before the round), so they legitimately differ, like
-  // eval_wall_ns.
+  // The same joins probe the same keys regardless of --jobs, and every
+  // round binds its tasks — building the same indexes — before any task
+  // runs, whether a pool runs them or not.
   EXPECT_EQ(serial.index_probes, parallel.index_probes);
+  EXPECT_EQ(serial.index_builds, parallel.index_builds);
+  EXPECT_EQ(serial.index_cache_misses, parallel.index_cache_misses);
   // Provenance counters are logical: the task-order merge reproduces
   // the serial store node for node.
   EXPECT_EQ(serial.provenance_nodes, parallel.provenance_nodes);
@@ -354,6 +353,20 @@ TEST(ParallelEval, IdLiteralsAcrossWorkers) {
       "others(N) :- emp(N, D), not emp[2](N, D, 0)."
       "pair(A, B) :- rep(A, D), rep(B, D).",
       edb, {"rep", "others", "pair"});
+}
+
+TEST(ParallelEval, IndexedStepNeverEntered) {
+  // The second edge scan probes an index on Y, but no binding reaches
+  // it: every edge value is below 1000. Its index is built when the task
+  // is bound, at every --jobs, so the index counters agree as well.
+  std::vector<std::vector<std::string>> edb;
+  for (int i = 0; i < 10; ++i) {
+    edb.push_back({"edge", std::to_string(i), std::to_string(i + 1)});
+  }
+  ExpectEquivalent(
+      "r(X, Z) :- edge(X, Y), Y > 1000, edge(Y, Z)."
+      "s(X) :- edge(X, Y).",
+      edb, {"r", "s"});
 }
 
 TEST(ParallelEval, ArithmeticChains) {
@@ -698,6 +711,28 @@ TEST(RoundTaskHardening, ThrowingTaskBecomesStatus) {
       << st.ToString();
   engine.InvalidateRun();
   EXPECT_TRUE(engine.Run().ok());
+}
+
+// Binding (and the index build in it) runs on the driver thread before
+// any part; an exception thrown there becomes an Internal status from
+// Run() too, serial and pooled alike.
+TEST(RoundTaskHardening, ThrowingIndexBuildBecomesStatus) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Failpoints::Instance().Reset();
+    ASSERT_TRUE(
+        Failpoints::Instance().ArmFromSpec("eval.index.build:1:throw").ok());
+    IdlogEngine engine;
+    SetUpParallelChainEngine(&engine);
+    engine.SetThreads(jobs);
+    Status st = engine.Run();
+    Failpoints::Instance().Reset();
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_NE(st.message().find("eval.index.build"), std::string::npos)
+        << st.ToString();
+    engine.InvalidateRun();
+    EXPECT_TRUE(engine.Run().ok());
+  }
 }
 
 }  // namespace

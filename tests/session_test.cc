@@ -426,5 +426,97 @@ TEST(Session, AutoCheckpointEveryNCommits) {
   EXPECT_EQ(snap->wal_pos.commits, 4u);
 }
 
+// Integer data and no .decl: the derived relation takes the stored
+// relation's sorts, so session snapshots read back and recovery
+// reproduces the live answers — also when a commit is what first
+// stores the integer relation (the derived relation is then retyped by
+// a full re-run instead of extended).
+TEST(Session, UndeclaredIntegerColumnsRecover) {
+  const std::string program =
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  for (bool preload : {true, false}) {
+    SCOPED_TRACE(preload ? "edge stored before the session"
+                         : "edge first stored by a commit");
+    ScratchDir scratch(preload ? "int_preload" : "int_created");
+    std::string wal_path = scratch.Path("s.wal");
+    std::string live;
+    {
+      IdlogEngine engine;
+      for (int i = 0; preload && i < 3; ++i) {
+        ASSERT_TRUE(engine
+                        .AddRow("edge", {std::to_string(i),
+                                         std::to_string(i + 1)})
+                        .ok());
+      }
+      ASSERT_TRUE(engine.LoadProgramText(program).ok());
+      ASSERT_TRUE(engine.AttachWal(wal_path).ok());
+      for (int i = 3; i < 6; ++i) {
+        ASSERT_TRUE(engine.Begin().ok());
+        ASSERT_TRUE(engine
+                        .Insert("edge",
+                                {Value::Number(i), Value::Number(i + 1)})
+                        .ok());
+        ASSERT_TRUE(engine.Commit().ok());
+        if (i == 4) {
+          ASSERT_TRUE(engine.WalCheckpoint().ok());
+        }
+      }
+      live = QueryDump(&engine, "path");
+    }
+    IdlogEngine fresh;
+    Status st = fresh.PrepareRecovery(wal_path);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(fresh.LoadProgramText(program).ok());
+    st = fresh.CompleteRecovery();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(QueryDump(&fresh, "path"), live);
+  }
+}
+
+// An insert that first stores a relation fixes its sorts. One the
+// program cannot be typed over (here a symbol compared with `<`) is
+// refused at staging time, before anything reaches the log: the session
+// stays usable and recovery replays only what was accepted.
+TEST(Session, ConflictingFirstInsertIsRefusedBeforeTheLog) {
+  ScratchDir scratch("first_insert_conflict");
+  const std::string wal_path = scratch.Path("s.wal");
+  const std::string program = "low(A) :- emp(A, D), A < 5.\n";
+  std::string live;
+  {
+    IdlogEngine engine;
+    ASSERT_TRUE(engine.LoadProgramText(program).ok());
+    ASSERT_TRUE(engine.AttachWal(wal_path).ok());
+    ASSERT_TRUE(engine.Begin().ok());
+    Status refused =
+        engine.Insert("emp", T(&engine.symbols(), {"ann", "sales"}));
+    EXPECT_EQ(refused.code(), StatusCode::kTypeError) << refused.ToString();
+    ASSERT_TRUE(
+        engine.Insert("emp", T(&engine.symbols(), {"3", "sales"})).ok());
+    // Later inserts in the transaction must match the first one's sorts.
+    EXPECT_EQ(
+        engine.Insert("emp", T(&engine.symbols(), {"bob", "sales"})).code(),
+        StatusCode::kTypeError);
+    Status st = engine.Commit();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_TRUE(engine.Begin().ok());
+    EXPECT_EQ(
+        engine.Insert("emp", T(&engine.symbols(), {"cid", "ops"})).code(),
+        StatusCode::kTypeError);
+    ASSERT_TRUE(engine.Insert("emp", T(&engine.symbols(), {"7", "ops"})).ok());
+    st = engine.Commit();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    live = QueryDump(&engine, "low");
+    EXPECT_EQ(live, "(3)\n");
+  }
+  IdlogEngine fresh;
+  Status st = fresh.PrepareRecovery(wal_path);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_TRUE(fresh.LoadProgramText(program).ok());
+  st = fresh.CompleteRecovery();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(QueryDump(&fresh, "low"), live);
+}
+
 }  // namespace
 }  // namespace idlog

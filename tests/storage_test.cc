@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "storage/database.h"
-#include "storage/index.h"
 #include "storage/relation.h"
 #include "test_util.h"
 
@@ -81,121 +82,173 @@ TEST(Relation, VersionAdvancesOnChange) {
   EXPECT_EQ(r.size(), 0u);
 }
 
-TEST(Relation, AssignmentChangesUid) {
-  SymbolTable s;
-  Relation a(UU());
-  Relation b(UU());
-  b.Insert(T(&s, {"a", "b"}));
-  uint64_t uid = a.uid();
-  a = b;
-  EXPECT_NE(a.uid(), uid);
-  EXPECT_NE(a.uid(), b.uid());
-  EXPECT_EQ(a.size(), 1u);
-}
+// --------------------------------------------------------------------
+// Indexes owned by relations.
 
-TEST(ColumnIndex, LookupByColumnSubset) {
+TEST(RelationIndex, LookupByColumnSubset) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
   r.Insert(T(&s, {"a", "y"}));
   r.Insert(T(&s, {"b", "x"}));
-  ColumnIndex index(&r, {0});
+  const ColumnIndex& index = r.IndexOn({0});
   const auto* rows = index.Lookup(T(&s, {"a"}));
   ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 2u);
+  EXPECT_EQ(*rows, (std::vector<size_t>{0, 1}));
   EXPECT_EQ(index.Lookup(T(&s, {"zzz"})), nullptr);
 }
 
-TEST(ColumnIndex, RefreshSeesNewRows) {
+TEST(RelationIndex, ReusesOneIndexPerColumnSet) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
-  ColumnIndex index(&r, {0});
-  r.Insert(T(&s, {"a", "y"}));
-  index.Refresh();
-  EXPECT_EQ(index.Lookup(T(&s, {"a"}))->size(), 2u);
+  bool built = false;
+  const ColumnIndex& i1 = r.IndexOn({0}, &built);
+  EXPECT_TRUE(built);
+  const ColumnIndex& i2 = r.IndexOn({0}, &built);
+  EXPECT_FALSE(built);  // current: nothing to do
+  EXPECT_EQ(&i1, &i2);
+  const ColumnIndex& on_both = r.IndexOn({0, 1});
+  ASSERT_NE(on_both.Lookup(T(&s, {"a", "x"})), nullptr);
+  EXPECT_EQ(r.indexes().size(), 2u);
 }
 
-TEST(ColumnIndex, RefreshSurvivesWholesaleReplacement) {
+TEST(RelationIndex, ExtendsWithAppendedRows) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
-  ColumnIndex index(&r, {0});
-  Relation other(UU());
-  other.Insert(T(&s, {"b", "y"}));
-  r = other;  // same pointer, new identity
-  index.Refresh();
-  EXPECT_EQ(index.Lookup(T(&s, {"a"})), nullptr);
-  ASSERT_NE(index.Lookup(T(&s, {"b"})), nullptr);
+  const ColumnIndex& before = r.IndexOn({0});
+  r.Insert(T(&s, {"a", "y"}));
+  r.Insert(T(&s, {"b", "y"}));
+  bool built = false;
+  const ColumnIndex& after = r.IndexOn({0}, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(&before, &after);  // extended in place, not rebuilt
+  EXPECT_EQ(after.num_entries(), 3u);
+  EXPECT_EQ(*after.Lookup(T(&s, {"a"})), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(*after.Lookup(T(&s, {"b"})), (std::vector<size_t>{2}));
 }
 
 // Regression: Clear() followed by re-inserts that grow the relation
-// back to (at least) its old row count used to satisfy the incremental
-// Refresh branch — same uid, size >= built_rows — so the index kept its
-// pre-Clear buckets and joins read rows that no longer exist. Clear()
-// now bumps a clear generation that forces a full rebuild.
-TEST(ColumnIndex, RefreshRebuildsAfterClear) {
+// back to (at least) its old row count once let an index keep its
+// pre-Clear buckets, so joins read rows that no longer exist. Clear()
+// drops every index, so the next lookup indexes only the new rows.
+TEST(RelationIndex, ClearThenRegrowthToTheSameSizeSeesOnlyNewRows) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
   r.Insert(T(&s, {"b", "y"}));
-  ColumnIndex index(&r, {0});
-  ASSERT_NE(index.Lookup(T(&s, {"a"})), nullptr);
+  ASSERT_NE(r.IndexOn({0}).Lookup(T(&s, {"a"})), nullptr);
 
   r.Clear();
+  EXPECT_TRUE(r.indexes().empty());
   r.Insert(T(&s, {"c", "x"}));
   r.Insert(T(&s, {"d", "y"}));  // same row count as before the Clear
-  index.Refresh();
+  bool built = false;
+  const ColumnIndex& index = r.IndexOn({0}, &built);
+  EXPECT_TRUE(built);
 
   EXPECT_EQ(index.Lookup(T(&s, {"a"})), nullptr);
   const auto* rows = index.Lookup(T(&s, {"c"}));
   ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0], 0u);  // row positions restart after the rebuild
+  EXPECT_EQ(*rows, (std::vector<size_t>{0}));  // positions restart
 }
 
-TEST(ColumnIndex, RefreshAfterClearAndRegrowthBeyondOldSize) {
+TEST(RelationIndex, ClearThenRegrowthBeyondTheOldSizeSeesOnlyNewRows) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
-  ColumnIndex index(&r, {0});
+  r.IndexOn({0});
   r.Clear();
   r.Insert(T(&s, {"b", "x"}));
   r.Insert(T(&s, {"a", "y"}));  // "a" reappears, at a different row
-  index.Refresh();
-  const auto* rows = index.Lookup(T(&s, {"a"}));
+  const auto* rows = r.IndexOn({0}).Lookup(T(&s, {"a"}));
   ASSERT_NE(rows, nullptr);
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_EQ((*rows)[0], 1u);
+  EXPECT_EQ(*rows, (std::vector<size_t>{1}));
 }
 
-TEST(IndexCache, FindFreshIsLookupOnly) {
+// Erase moves the last row into the freed slot, so positions change:
+// the relation drops its indexes and the next lookup finds the moved
+// row at its new position.
+TEST(RelationIndex, EraseFindsTheMovedRowAtItsNewPosition) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
-  IndexCache cache(&r);
-  // Nothing built yet: FindFresh never creates or refreshes.
-  EXPECT_EQ(cache.FindFresh({0}), nullptr);
-  const ColumnIndex& built = cache.Get({0});
-  EXPECT_EQ(cache.FindFresh({0}), &built);
-  r.Insert(T(&s, {"b", "y"}));  // stale now
-  EXPECT_EQ(cache.FindFresh({0}), nullptr);
-  cache.Get({0});  // refreshes
-  EXPECT_EQ(cache.FindFresh({0}), &built);
-  r.Clear();
-  EXPECT_EQ(cache.FindFresh({0}), nullptr);
+  r.Insert(T(&s, {"b", "y"}));
+  r.Insert(T(&s, {"c", "z"}));
+  ASSERT_EQ(*r.IndexOn({0}).Lookup(T(&s, {"c"})), (std::vector<size_t>{2}));
+
+  ASSERT_TRUE(r.Erase(T(&s, {"a", "x"})));
+  EXPECT_EQ(r.tuples()[0], T(&s, {"c", "z"}));  // last row moved to 0
+  EXPECT_TRUE(r.indexes().empty());
+  bool built = false;
+  const ColumnIndex& index = r.IndexOn({0}, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(index.Lookup(T(&s, {"a"})), nullptr);
+  EXPECT_EQ(*index.Lookup(T(&s, {"c"})), (std::vector<size_t>{0}));
+  EXPECT_EQ(*index.Lookup(T(&s, {"b"})), (std::vector<size_t>{1}));
+
+  // Erasing the last row moves nothing; the lookup still drops it.
+  ASSERT_TRUE(r.Erase(T(&s, {"b", "y"})));
+  EXPECT_EQ(r.IndexOn({0}).Lookup(T(&s, {"b"})), nullptr);
+  EXPECT_EQ(*r.IndexOn({0}).Lookup(T(&s, {"c"})), (std::vector<size_t>{0}));
 }
 
-TEST(IndexCache, ReusesIndexes) {
+// Assigning a whole relation replaces its rows; the target's indexes
+// are dropped, so lookups see the new rows only. A copy starts without
+// indexes and leaves the source's alone.
+TEST(RelationIndex, AssignmentDropsTheTargetsIndexes) {
   SymbolTable s;
   Relation r(UU());
   r.Insert(T(&s, {"a", "x"}));
-  IndexCache cache(&r);
-  const ColumnIndex& i1 = cache.Get({0});
-  const ColumnIndex& i2 = cache.Get({0});
-  EXPECT_EQ(&i1, &i2);
-  const ColumnIndex& on_both = cache.Get({0, 1});
-  ASSERT_NE(on_both.Lookup(T(&s, {"a", "x"})), nullptr);
+  r.IndexOn({0});
+  Relation other(UU());
+  other.Insert(T(&s, {"b", "y"}));
+  other.Insert(T(&s, {"a", "z"}));
+  other.IndexOn({1});
+
+  r = other;
+  EXPECT_TRUE(r.indexes().empty());
+  EXPECT_EQ(other.indexes().size(), 1u);
+  EXPECT_EQ(r.size(), 2u);
+  bool built = false;
+  const ColumnIndex& index = r.IndexOn({0}, &built);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(*index.Lookup(T(&s, {"a"})), (std::vector<size_t>{1}));
+  EXPECT_EQ(*index.Lookup(T(&s, {"b"})), (std::vector<size_t>{0}));
+
+  Relation copy(r);
+  EXPECT_TRUE(copy.indexes().empty());
+  EXPECT_EQ(r.indexes().size(), 1u);
+  EXPECT_TRUE(copy.SetEquals(r));
+}
+
+// A move carries the indexes along with the rows, which keep their
+// positions: the moved-to relation's index is current without a
+// rebuild, for move construction and move assignment alike.
+TEST(RelationIndex, MoveKeepsAValidIndexWithoutARebuild) {
+  SymbolTable s;
+  Relation r(UU());
+  r.Insert(T(&s, {"a", "x"}));
+  r.Insert(T(&s, {"a", "y"}));
+  r.Insert(T(&s, {"b", "x"}));
+  r.IndexOn({0});
+
+  Relation moved(std::move(r));
+  bool built = true;
+  const ColumnIndex& index = moved.IndexOn({0}, &built);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(*index.Lookup(T(&s, {"a"})), (std::vector<size_t>{0, 1}));
+
+  Relation target(UU());
+  target.Insert(T(&s, {"q", "q"}));
+  target.IndexOn({1});
+  target = std::move(moved);
+  ASSERT_EQ(target.indexes().size(), 1u);  // the source's, not its own
+  built = true;
+  EXPECT_EQ(*target.IndexOn({0}, &built).Lookup(T(&s, {"b"})),
+            (std::vector<size_t>{2}));
+  EXPECT_FALSE(built);
 }
 
 TEST(Database, AddTupleInfersType) {
