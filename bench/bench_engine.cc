@@ -191,10 +191,11 @@ void RunParallelSection() {
 // E7: delta-partitioned recursion. A single recursive rule has no
 // rule-level parallelism — before delta partitioning, `--jobs N` on
 // this shape paid the pool and merge overhead for zero concurrency and
-// could run *slower* than serial. The partitioned executor fans the one
-// heavy (rule, delta) task across hash partitions of the delta
-// relation, so wall time scales with threads while answers and every
-// logical stat stay byte-identical (`equal` must print yes).
+// could run *slower* than serial. The partitioned executor splits the
+// one heavy (rule, delta) task into contiguous row ranges of the delta
+// relation and commits them in range order, so wall time scales with
+// threads while answers and every logical stat stay byte-identical
+// (`equal` must print yes).
 ParallelRun RunSingleRuleTc(int jobs, int nodes, int edges) {
   IdlogEngine engine;
   FillGraph(&engine.database(), Shape::kRandom, nodes, edges,

@@ -55,7 +55,6 @@ Status IdlogEngine::LoadProgram(Program program) {
   impl->set_provenance_enabled(provenance_);
   impl->set_use_indexes(use_indexes_);
   impl->set_threads(threads_);
-  impl->set_delta_partitions(delta_partitions_);
   impl->set_trace_sink(trace_);
   impl->set_profiling_enabled(profiling_);
   impl->set_explain_enabled(explain_);
@@ -92,13 +91,6 @@ void IdlogEngine::SetThreads(int n) {
   if (threads_ != n) ran_ = false;
   threads_ = n;
   if (impl_ != nullptr) impl_->set_threads(n);
-}
-
-void IdlogEngine::SetDeltaPartitions(int k) {
-  if (k < 0) k = 0;
-  if (delta_partitions_ != k) ran_ = false;
-  delta_partitions_ = k;
-  if (impl_ != nullptr) impl_->set_delta_partitions(k);
 }
 
 void IdlogEngine::SetTidBoundPushdown(bool enabled) {
@@ -314,8 +306,7 @@ Status IdlogEngine::Run() {
   impl_->set_governor(&governor_);
   last_trip_ = Status::OK();
   FlightRecorder::Record(FlightEventKind::kRunStart, "run",
-                         static_cast<int64_t>(threads_),
-                         static_cast<int64_t>(delta_partitions_));
+                         static_cast<int64_t>(threads_));
   Status st = impl_->Evaluate(assigner_.get(), seminaive_);
   if (!st.ok()) {
     FlightRecorder::Record(FlightEventKind::kRunEnd, "failure",

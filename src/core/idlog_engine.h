@@ -84,24 +84,15 @@ class IdlogEngine {
   /// Total evaluation threads for the fixpoint — the calling thread
   /// included, so n = 4 means four threads doing rule evaluations, not
   /// five (default 1 = serial; values < 1 clamp to 1). With n >= 2 each
-  /// round's independent rule evaluations run on a thread pool — heavy
-  /// recursive evaluations additionally fan out over hash partitions of
-  /// their delta (see SetDeltaPartitions) — and merge deterministically:
-  /// answers, stats, profiles, traces, explain output and the
-  /// provenance store (so proof trees and WHY JSON) are byte-identical
-  /// to a serial run.
+  /// round's independent rule evaluations run on a thread pool. A heavy
+  /// recursive evaluation — semi-naive, its delta scan the outermost
+  /// plan step — additionally splits into n parts, each reading one
+  /// contiguous row range of the delta, and the parts commit in range
+  /// order, which is the serial order. Answers, stats, profiles,
+  /// traces, explain output and the provenance store (so proof trees
+  /// and WHY JSON) are byte-identical to a serial run.
   void SetThreads(int n);
   int threads() const { return threads_; }
-
-  /// Delta-partition fan-out for heavy recursive tasks: a semi-naive
-  /// task whose delta scan is the outermost plan step splits into K
-  /// sub-tasks, each evaluating the delta rows whose join-key hash it
-  /// owns into partition-private staging. Default 0 = auto (match the
-  /// thread count; 1 when serial); explicit values — honored even with
-  /// one thread — exist for tests and tuning, and every value yields
-  /// byte-identical results (values < 0 clamp to 0).
-  void SetDeltaPartitions(int k);
-  int delta_partitions() const { return delta_partitions_; }
 
   /// Installs resource budgets enforced by every subsequent Run():
   /// wall-clock deadline, derived-tuple budget, approximate-memory
@@ -278,7 +269,7 @@ class IdlogEngine {
   StorageStats DbStats() const;
   /// The walk rendered as an aligned text table (physical index columns
   /// included) or the deterministic `idlog-dbstats-v1` JSON (logical
-  /// fields only — byte-identical across --jobs/--partitions).
+  /// fields only — byte-identical across --jobs).
   std::string DbStatsText() const;
   std::string DbStatsJson() const;
 
@@ -435,7 +426,6 @@ class IdlogEngine {
   bool explain_ = false;
   RewriteLog rewrite_log_;
   int threads_ = 1;
-  int delta_partitions_ = 0;
   bool ran_ = false;
 
   std::string flight_dump_path_;      ///< Empty: no dump-on-failure.

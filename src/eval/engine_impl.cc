@@ -354,7 +354,6 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   } else {
     pool_.reset();
   }
-  ctx.delta_partitions = delta_partitions_;
   // A shared governor can outlive this engine (enumerators create
   // stack-local engines against one long-lived governor); the guard
   // withdraws our stats_ pointer and labels on every exit path so a
@@ -584,7 +583,6 @@ Status EngineImpl::EvaluateIncremental(
   } else {
     pool_.reset();
   }
-  ctx.delta_partitions = delta_partitions_;
   GovernorScope governor_scope(governor_, &stats_, "incremental fixpoint");
   if (provenance_enabled_) {
     ctx.provenance = &provenance_;

@@ -210,20 +210,12 @@ class EngineImpl {
 
   /// Worker-thread count for the parallel stratum executor (default 1 =
   /// serial fixpoint, no pool). With n >= 2, each fixpoint round's
-  /// independent (rule, delta_step) evaluations run concurrently and
-  /// are merged deterministically, so results, stats, profiles, traces
-  /// and the provenance store stay byte-identical to a serial run.
+  /// independent (rule, delta_step) evaluations run concurrently, a
+  /// heavy one split into n contiguous delta row ranges, and commit in
+  /// serial order, so results, stats, profiles, traces and the
+  /// provenance store stay byte-identical to a serial run.
   void set_threads(int n) { threads_ = n < 1 ? 1 : n; }
   int threads() const { return threads_; }
-
-  /// Delta-partition fan-out for heavy recursive tasks (0 = auto:
-  /// match the pool's parallelism). Results are byte-identical for
-  /// every value; explicit values exist for the partition sweep tests
-  /// and tuning.
-  void set_delta_partitions(int k) {
-    delta_partitions_ = k < 0 ? 0 : k;
-  }
-  int delta_partitions() const { return delta_partitions_; }
 
   /// Enables the per-rule/per-stratum profile (off by default). The
   /// attribution cost is a few clock reads per rule evaluation.
@@ -295,7 +287,6 @@ class EngineImpl {
   bool udom_needed_ = false;
 
   int threads_ = 1;
-  int delta_partitions_ = 0;  ///< 0 = auto (pool parallelism).
   std::unique_ptr<ThreadPool> pool_;  ///< Lazily sized to threads_.
   EvalStats stats_;
   ResourceGovernor* governor_ = nullptr;

@@ -16,8 +16,8 @@ struct EvalStats {
   /// Of those, new (first derivation). In the stratified fixpoint a
   /// fact counts when its round commits it into the full relation —
   /// the one definition of "new" that is identical for every --jobs
-  /// and delta-partition setting; a round that errors out counts
-  /// nothing, matching its discarded staging.
+  /// setting; a round that errors out counts nothing, matching its
+  /// discarded staging.
   uint64_t facts_inserted = 0;
   uint64_t rule_firings = 0;        ///< Rule evaluation passes.
   uint64_t iterations = 0;          ///< Fixpoint rounds across strata.
@@ -28,8 +28,8 @@ struct EvalStats {
   /// logical counter. `index_builds` counts indexes built or extended
   /// when a round binds its tasks, and `index_cache_misses` the bound
   /// scans that found no current index (binding builds what it misses,
-  /// so the two agree). All three are identical across --jobs and
-  /// --partitions settings; the last two are physical, like wall times:
+  /// so the two agree). All three are identical across --jobs
+  /// settings; the last two are physical, like wall times:
   /// they depend on what earlier runs left built (EDB indexes outlive a
   /// run, a resumed run rebuilds its indexes).
   uint64_t index_probes = 0;

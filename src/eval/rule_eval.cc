@@ -71,34 +71,11 @@ class RuleExecutor {
       if (head_pred_id_ == ProvenanceStore::kNoPred) {
         head_pred_id_ = ctx_.provenance->InternPredicate(plan_.head_pred);
       }
-      if (ctx_.provenance->Record(head_pred_id_, t, plan_.clause_index,
-                                  premises_) > 0 &&
-          ctx_.prov_order != nullptr) {
-        ctx_.prov_order->push_back(cur_delta_row_);
-      }
+      (void)ctx_.provenance->Record(head_pred_id_, t, plan_.clause_index,
+                                    premises_);
     }
-    if (out_->Insert(std::move(t)) && ctx_.staged_order != nullptr) {
-      ctx_.staged_order->push_back(cur_delta_row_);
-    }
+    out_->Insert(std::move(t));
     return Status::OK();
-  }
-
-  /// Partition owner of a delta row: a hash over the join-key columns
-  /// (all columns when none were identified) modulo the partition
-  /// count. Purely value-based, so it is identical across --jobs and
-  /// independent of scheduling.
-  int PartitionOf(const Tuple& row) const {
-    size_t h;
-    if (ctx_.partition_cols != nullptr && !ctx_.partition_cols->empty()) {
-      h = ctx_.partition_cols->size();
-      for (int col : *ctx_.partition_cols) {
-        h = HashCombine(h, row[static_cast<size_t>(col)].Hash());
-      }
-    } else {
-      h = TupleHash{}(row);
-    }
-    return static_cast<int>(h %
-                            static_cast<size_t>(ctx_.partition_count));
   }
 
   // Verifies kKey positions against `row` (needed when scanning without
@@ -151,21 +128,23 @@ class RuleExecutor {
         const ColumnIndex* index = bound_[i].index;
 
         if (index == nullptr) {
-          // Partitioned delta scan: skip rows another partition owns
-          // *before* any counting or governor probing, so each delta
-          // row is charged to exactly one partition and counter sums
-          // over partitions reproduce the unpartitioned run. The driver
-          // only partitions tasks whose delta step is step 0 with no
-          // bound keys, which is precisely this loop.
-          const bool partitioned = static_cast<int>(i) == delta_step_ &&
-                                   i == 0 && ctx_.partition_count > 1;
-          uint64_t ordinal = 0;
-          for (const Tuple& row : rel->tuples()) {
-            const uint64_t r = ordinal++;
-            if (partitioned) {
-              if (PartitionOf(row) != ctx_.partition_index) continue;
-              cur_delta_row_ = r;
-            }
+          // Partitioned delta scan: read only this part's contiguous
+          // row range, so each delta row is charged to exactly one part
+          // and the parts, in index order, emit the serial sequence.
+          // EvaluateStratum only partitions tasks whose delta step is
+          // step 0 with no bound keys, which is precisely this loop.
+          const std::vector<Tuple>& rows = rel->tuples();
+          size_t begin = 0;
+          size_t end = rows.size();
+          if (static_cast<int>(i) == delta_step_ && i == 0 &&
+              ctx_.partition_count > 1) {
+            const size_t k = static_cast<size_t>(ctx_.partition_index);
+            const size_t parts = static_cast<size_t>(ctx_.partition_count);
+            begin = rows.size() * k / parts;
+            end = rows.size() * (k + 1) / parts;
+          }
+          for (size_t r = begin; r < end; ++r) {
+            const Tuple& row = rows[r];
             if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
             if (sc != nullptr) ++sc->rows_scanned;
             if (ctx_.governor != nullptr) {
@@ -316,10 +295,6 @@ class RuleExecutor {
   std::vector<Premise> premises_;
   /// Interned head predicate id (valid only when provenance is on).
   ProvenanceStore::PredId head_pred_id_ = ProvenanceStore::kNoPred;
-  /// Ordinal of the delta row currently being expanded (partitioned
-  /// scans only) — the order tag EmitHead records so the driver can
-  /// merge partitions back into serial emission order.
-  uint64_t cur_delta_row_ = 0;
   /// EXPLAIN ANALYZE counter array (steps+1 entries, last is the emit
   /// pseudo-step), or null when analysis is off — see the constructor.
   StepCounters* sc_ = nullptr;

@@ -1,7 +1,6 @@
 #ifndef IDLOG_EVAL_RULE_EVAL_H_
 #define IDLOG_EVAL_RULE_EVAL_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "common/limits.h"
@@ -64,42 +63,21 @@ struct EvalContext {
   /// Thread pool for the parallel stratum executor (exec/). Null (the
   /// default) keeps the serial fixpoint; when set, EvaluateStratum runs
   /// the independent (rule, delta_step) evaluations of each round
-  /// concurrently and merges them deterministically.
+  /// concurrently, fans heavy ones out over the pool's size, and
+  /// commits them in serial order.
   ThreadPool* pool = nullptr;
 
-  /// Configured delta-partition fan-out for the stratified fixpoint:
-  /// 0 = auto (match the pool's parallelism; 1 without a pool), an
-  /// explicit K >= 1 forces K partitions even in serial runs — the
-  /// partition sweep tests rely on that to pin partition-count
-  /// invariance. EvaluateStratum resolves this per task (only heavy
-  /// delta-step-0 tasks are eligible) and clamps to the delta size.
-  int delta_partitions = 0;
-
-  /// Delta partitioning as resolved for one executor run (set by the
-  /// round executor on part contexts; these describe the slice handed
-  /// to one executor run). When partition_count > 1 the delta scan — which
-  /// eligibility restricts to plan step 0 — only descends into rows
-  /// whose hash over `partition_cols` (all columns when null/empty)
-  /// lands on `partition_index`; the ownership test runs before any
-  /// per-row counting, so summing counters over all partitions
-  /// reproduces an unpartitioned run exactly. Partitions > 0 also
-  /// suppress the once-per-evaluation counters (rule_firings, the delta
-  /// step's rows_in), which partition 0 counts on behalf of the task.
+  /// The slice of the delta one executor run reads (set by the round
+  /// executor on part contexts). When partition_count > 1 the delta
+  /// scan — which eligibility restricts to plan step 0 — reads only the
+  /// contiguous rows [n·index/count, n·(index+1)/count) of its n-row
+  /// delta. Run in index order, the parts emit exactly the serial
+  /// emission sequence, and their per-row counters sum to an
+  /// unpartitioned run. Partitions > 0 also suppress the
+  /// once-per-evaluation counters (rule_firings, the delta step's
+  /// rows_in), which partition 0 counts on behalf of the task.
   int partition_index = 0;
   int partition_count = 1;
-  const std::vector<int>* partition_cols = nullptr;
-
-  /// Order tags for partitioned tasks (null when partition_count == 1).
-  /// The executor appends the current delta-row ordinal once per staged
-  /// tuple that is new in the private staging (`staged_order`) and once
-  /// per provenance record actually retained (`prov_order`). Rows are
-  /// owned by exactly one partition, so a K-way merge by these tags
-  /// reconstructs the serial emission order across partitions — which
-  /// is what keeps the committed relation order, the next delta, and
-  /// the first-derivation-wins provenance store byte-identical for
-  /// every partition count.
-  std::vector<uint64_t>* staged_order = nullptr;
-  std::vector<uint64_t>* prov_order = nullptr;
 
   /// Observability (both null by default — the fast path is a pointer
   /// test per *rule evaluation*, never per tuple). `trace` receives one

@@ -1,5 +1,6 @@
 #include "eval/stratum_eval.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -14,33 +15,6 @@ namespace {
 /// A delta must have at least this many rows before a task is worth
 /// fanning out (below it the per-partition setup outweighs the scan).
 constexpr uint64_t kMinPartitionRows = 2;
-
-/// The delta columns a partitioned scan hashes to pick an owner: the
-/// columns whose bound value feeds a later step's index key (the join
-/// keys), so a partition owns its key range and duplicate head tuples
-/// overwhelmingly collide within one partition. Falls back to the whole
-/// row (empty result) when the delta scan binds no later key — the
-/// ownership contract only needs *some* deterministic column set.
-std::vector<int> JoinKeyPartitionCols(const RulePlan& plan) {
-  std::set<int> key_slots;
-  for (size_t j = 1; j < plan.steps.size(); ++j) {
-    const PlanStep& step = plan.steps[j];
-    for (int col : step.key_cols) {
-      const ArgSource& src = step.sources[static_cast<size_t>(col)];
-      if (src.is_slot) key_slots.insert(src.slot);
-    }
-  }
-  const PlanStep& scan = plan.steps[0];
-  std::vector<int> cols;
-  for (size_t pos = 0; pos < scan.modes.size(); ++pos) {
-    if (scan.modes[pos] == ArgMode::kWrite &&
-        scan.sources[pos].is_slot &&
-        key_slots.count(scan.sources[pos].slot) > 0) {
-      cols.push_back(static_cast<int>(pos));
-    }
-  }
-  return cols;
-}
 
 }  // namespace
 
@@ -107,13 +81,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // Fan-out of one (rule, delta_step) task. Only the heavy shape is
   // eligible: a semi-naive task whose delta scan is the *outermost*
   // plan step with no bound keys — then the serial emission order is
-  // ascending delta-row order, which is what the partition merge tags
-  // reconstruct, and no earlier step gets re-scanned K times. The
-  // resolved K depends only on logical quantities (the configured
-  // setting, the pool's configured size and the delta's content), so
-  // tasks fan out identically across runs with the same settings.
+  // ascending delta-row order, so K parts over contiguous row ranges
+  // emit, in part order, exactly the serial sequence, and no earlier
+  // step gets re-scanned K times. K is the pool's size clamped to the
+  // delta's row count: it depends only on the configured --jobs and
+  // the delta's content, never on scheduling.
   auto resolve_fanout = [&](const RulePlan& plan, int delta_step) -> int {
-    if (!seminaive || delta_step != 0) return 1;
+    if (!seminaive || delta_step != 0 || ctx.pool == nullptr) return 1;
     const PlanStep& scan = plan.steps[0];
     if (scan.kind != PlanStep::Kind::kScan || scan.is_id ||
         !scan.key_cols.empty()) {
@@ -121,28 +95,23 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     }
     const Relation* d = slots.delta[static_cast<size_t>(scan.rel)];
     if (d == nullptr || d->size() < kMinPartitionRows) return 1;
-    int k = ctx.delta_partitions;
-    if (k <= 0) k = ctx.pool != nullptr ? ctx.pool->size() : 1;
-    if (k < 1) k = 1;
-    if (static_cast<uint64_t>(k) > d->size()) {
-      k = static_cast<int>(d->size());
-    }
-    return k;
+    return static_cast<int>(std::min<uint64_t>(
+        static_cast<uint64_t>(ctx.pool->size()), d->size()));
   };
 
   // Runs one round's (rule, delta_step) tasks and commits what they
   // staged. The task list is built in the exact order the serial loop
   // evaluates; the executor runs every task's parts (concurrently when
   // a pool is installed, else in order on this thread) into private
-  // relations, and the merge below walks tasks in that same order —
-  // partitions K-way-merged back into delta-row order — so fixpoint
-  // contents, stats, profile columns, explain counters, trace spans and
-  // the provenance store come out identical for every --jobs and
-  // partition setting (timing values aside). Commit is where inserts
-  // become observable: a staged tuple counts as facts_inserted (and is
-  // charged to the governor, and enters the next delta) iff it is new
-  // in the full relation — the one definition of "new" that no
-  // concatenation order can perturb.
+  // relations, and the commit below walks tasks in that same order and
+  // each task's parts in index order — the serial emission order — so
+  // fixpoint contents, stats, profile columns, explain counters, trace
+  // spans and the provenance store come out identical for every --jobs
+  // (timing values aside). Commit is where inserts become observable: a
+  // staged tuple counts as facts_inserted (and is charged to the
+  // governor, and enters the next delta) iff it is new in the full
+  // relation — the one definition of "new" that no concatenation order
+  // can perturb.
   auto run_round = [&](std::vector<RoundTask>&& tasks, uint64_t round,
                        bool* any_new,
                        std::map<std::string, Relation>* next_delta)
@@ -221,63 +190,45 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       }
 
       // Commit: insert this task's staged tuples into the full
-      // relation, in serial emission order (partitions merged by their
-      // delta-row tags). Dedup within a part came free from its staged
-      // relation; cross-part and cross-task duplicates — and
-      // re-derivations from earlier rounds — all fall out of the one
-      // Insert against full. Skipped for a failed round: the round's
-      // results are discarded, exactly as the serial early return
-      // discards its staging.
+      // relation, part after part — the parts read consecutive delta
+      // row ranges, so this is the serial emission order. Dedup within
+      // a part came free from its staged relation; cross-part and
+      // cross-task duplicates — and re-derivations from earlier rounds
+      // — all fall out of the one Insert against full. Skipped for a
+      // failed round: the round's results are discarded, exactly as the
+      // serial early return discards its staging.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {
         Relation& full = *task.head;
         Relation* fresh = nullptr;
-        auto commit_tuple = [&](const Tuple& t) {
-          if (!full.Insert(t)) return;
-          ++inserted;
-          *any_new = true;
-          if (next_delta != nullptr) {
-            if (fresh == nullptr) {
-              fresh = &next_delta->try_emplace(task.plan->head_pred,
-                                               Relation(full.type()))
-                           .first->second;
-            }
-            fresh->Insert(t);
-          }
-          if (ctx.governor != nullptr && commit_status.ok()) {
-            commit_status = ctx.governor->OnDerived(
-                1, ApproxTupleBytes(task.plan->head_args.size()));
-          }
-        };
-        if (task.partitions > 1) {
-          std::vector<size_t> cur(task.parts.size(), 0);
-          while (true) {
-            size_t best = task.parts.size();
-            uint64_t best_tag = 0;
-            for (size_t p = 0; p < task.parts.size(); ++p) {
-              const auto& order = task.parts[p].staged_order;
-              if (cur[p] >= order.size()) continue;
-              // No ties across parts: a delta row has one owner.
-              if (best == task.parts.size() || order[cur[p]] < best_tag) {
-                best = p;
-                best_tag = order[cur[p]];
+        for (const RoundPart& part : task.parts) {
+          for (const Tuple& t : part.staged.tuples()) {
+            if (!full.Insert(t)) continue;
+            ++inserted;
+            *any_new = true;
+            if (next_delta != nullptr) {
+              if (fresh == nullptr) {
+                fresh = &next_delta->try_emplace(task.plan->head_pred,
+                                                 Relation(full.type()))
+                             .first->second;
               }
+              fresh->Insert(t);
             }
-            if (best == task.parts.size()) break;
-            commit_tuple(task.parts[best].staged.tuples()[cur[best]++]);
+            if (ctx.governor != nullptr && commit_status.ok()) {
+              commit_status = ctx.governor->OnDerived(
+                  1, ApproxTupleBytes(task.plan->head_args.size()));
+            }
           }
-          // One breadcrumb per K-way partition merge: which head, how
-          // wide the fan-out, how many commits survived dedup.
+        }
+        if (task.partitions > 1) {
+          // One breadcrumb per partitioned commit: which head, how wide
+          // the fan-out, how many commits survived dedup.
           FlightRecorder::Record(FlightEventKind::kPartitionCommit,
                                  task.plan->head_pred.c_str(),
                                  task.partitions,
                                  static_cast<int64_t>(inserted),
                                  static_cast<int64_t>(round));
-        } else {
-          for (const Tuple& t : task.parts[0].staged.tuples()) {
-            commit_tuple(t);
-          }
         }
       }
       if (ctx.stats != nullptr) ctx.stats->facts_inserted += inserted;
@@ -288,26 +239,16 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         if (!dst.empty()) dst.back().rows_emitted += inserted;
       }
 
-      // Absorb the parts' private derivations, still in task order
-      // (partitions merged by record tag): first-derivation-wins
-      // against everything absorbed so far makes the combined store
-      // identical to what an unpartitioned serial loop records. The
-      // retained bytes were deferred by the parts and are charged
-      // here, like the committed-insert charges above.
+      // Absorb the parts' private derivations, still in (task,
+      // partition) order: first-derivation-wins against everything
+      // absorbed so far makes the combined store identical to what an
+      // unpartitioned serial loop records. The retained bytes were
+      // deferred by the parts and are charged here, like the
+      // committed-insert charges above.
       if (ctx.provenance != nullptr) {
         size_t prov_bytes = 0;
-        if (task.partitions > 1) {
-          std::vector<ProvenanceStore*> stores;
-          std::vector<const std::vector<uint64_t>*> orders;
-          for (size_t pi = 0; pi <= last_part; ++pi) {
-            stores.push_back(&task.parts[pi].prov);
-            orders.push_back(&task.parts[pi].prov_order);
-          }
-          prov_bytes = ctx.provenance->AbsorbMerged(stores, orders);
-        } else {
-          for (size_t pi = 0; pi <= last_part; ++pi) {
-            prov_bytes += ctx.provenance->Absorb(&task.parts[pi].prov);
-          }
+        for (size_t pi = 0; pi <= last_part; ++pi) {
+          prov_bytes += ctx.provenance->Absorb(&task.parts[pi].prov);
         }
         if (ctx.governor != nullptr && prov_bytes > 0 &&
             commit_status.ok()) {
@@ -341,8 +282,8 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           args.push_back(
               TraceArg::Num("delta_size", d != nullptr ? d->size() : 0));
           // The partition fanout is deliberately NOT a trace arg: traces
-          // are part of the byte-identical --jobs/--partitions contract,
-          // and the fanout is physical scheduling detail like thread ids.
+          // are part of the byte-identical --jobs contract, and the
+          // fanout is physical scheduling detail like thread ids.
         }
         args.push_back(
             TraceArg::Num("considered", task_stats.tuples_considered));
@@ -437,9 +378,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           task.plan = plan;
           task.delta_step = step;
           task.partitions = resolve_fanout(*plan, step);
-          if (task.partitions > 1) {
-            task.partition_cols = JoinKeyPartitionCols(*plan);
-          }
           tasks.push_back(std::move(task));
         }
       } else {

@@ -55,16 +55,11 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   ctx.step_stats =
       part->step_stats.steps.empty() ? nullptr : &part->step_stats;
   // Derivations go to the part's private store; the driver absorbs them
-  // in serial task order (first-derivation-wins), so the final store
-  // matches a serial run byte-for-byte.
+  // in (task, partition) order (first-derivation-wins), so the final
+  // store matches a serial run byte-for-byte.
   if (base_ctx.provenance != nullptr) ctx.provenance = &part->prov;
-  if (task.partitions > 1) {
-    ctx.partition_index = part->partition;
-    ctx.partition_count = task.partitions;
-    ctx.partition_cols = &task.partition_cols;
-    ctx.staged_order = &part->staged_order;
-    if (base_ctx.provenance != nullptr) ctx.prov_order = &part->prov_order;
-  }
+  ctx.partition_index = part->partition;
+  ctx.partition_count = task.partitions;
   if (base_ctx.trace != nullptr) part->start_us = base_ctx.trace->NowUs();
   auto t0 = std::chrono::steady_clock::now();
   part->status = CatchAsStatus("round task", [&] {

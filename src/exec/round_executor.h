@@ -16,15 +16,11 @@ namespace idlog {
 
 /// One partition's share of a round task: its private staging, private
 /// counters, private provenance and its status. Unpartitioned tasks
-/// have exactly one part covering the whole delta.
+/// have exactly one part covering the whole delta; part k of K reads
+/// the k-th contiguous row range of it.
 struct RoundPart {
   int partition = 0;            ///< Partition index in [0, partitions).
   Relation staged;              ///< Private output; typed by the driver.
-  std::vector<uint64_t> staged_order;
-                                ///< Delta-row ordinal per staged tuple
-                                ///< (partitioned tasks only): the merge
-                                ///< key that restores serial emission
-                                ///< order across partitions at Commit.
   EvalStats stats;              ///< Private counters (facts_inserted is
                                 ///< left 0 — Commit computes it against
                                 ///< the full relation).
@@ -36,35 +32,27 @@ struct RoundPart {
                                 ///< facts_inserted.
   ProvenanceStore prov;         ///< Private derivations recorded by the
                                 ///< part (uncharged); the driver
-                                ///< absorbs them in task order — merged
-                                ///< across partitions by `prov_order` —
-                                ///< which reproduces the serial
+                                ///< absorbs them in (task, partition)
+                                ///< order, which reproduces the serial
                                 ///< first-derivation-wins store exactly.
-  std::vector<uint64_t> prov_order;
-                                ///< Delta-row ordinal per retained
-                                ///< provenance record (partitioned
-                                ///< tasks only).
   uint64_t start_us = 0;        ///< Trace timestamp at part start.
   uint64_t self_ns = 0;         ///< Wall time inside the evaluation.
   Status status;                ///< The evaluation's status.
 };
 
 /// One independent `(rule, delta_step)` evaluation of a fixpoint round,
-/// possibly fanned out into `partitions` sub-evaluations that each own
-/// a hash partition of the delta relation. The driver (EvaluateStratum)
+/// possibly fanned out into `partitions` sub-evaluations that each read
+/// one contiguous row range of the delta relation. EvaluateStratum
 /// builds the task list in the exact order the serial loop would
-/// evaluate, the executor runs every part, and the driver merges the
-/// private results back in (task, partition-ordered) order — which is
-/// what makes `--jobs N` and every partition count byte-identical to
-/// serial.
+/// evaluate, the executor runs every part, and EvaluateStratum commits
+/// the private results in (task, partition) order — the serial emission
+/// order by construction, which is what makes every `--jobs N`
+/// byte-identical to serial.
 struct RoundTask {
   const RulePlan* plan = nullptr;
   int delta_step = -1;          ///< -1 = full evaluation (round 0 / naive).
   int partitions = 1;           ///< Fan-out; > 1 only for eligible
                                 ///< delta-step-0 tasks (see the driver).
-  std::vector<int> partition_cols;
-                                ///< Delta columns hashed to pick an
-                                ///< owner (empty = whole row).
   std::vector<RoundPart> parts; ///< Sized `partitions` by the driver.
   Relation* head = nullptr;     ///< The full relation Commit inserts
                                 ///< into (set by the driver).
@@ -83,13 +71,12 @@ struct RoundTask {
 /// driver commits. Staged-insert accounting (facts_inserted, emit
 /// rows_emitted, governor OnDerived charges, provenance byte charges)
 /// is the driver's job at Commit, where "new" is judged against the
-/// full relation — the definition that is invariant across jobs and
-/// partition counts. The shared ResourceGovernor is still probed from
-/// all workers (it is thread-safe), so deadlines and cancellation
-/// interrupt long scans. When `base_ctx.provenance` is set, each part
-/// records derivations into its private `prov` store; the driver
-/// absorbs those stores in serial task order (partitions merged by
-/// `prov_order`).
+/// full relation — the definition that is invariant across jobs. The
+/// shared ResourceGovernor is still probed from all workers (it is
+/// thread-safe), so deadlines and cancellation interrupt long scans.
+/// When `base_ctx.provenance` is set, each part records derivations
+/// into its private `prov` store; EvaluateStratum absorbs those stores
+/// in (task, partition) order.
 ///
 /// Per-part failures are reported in RoundPart::status and left to the
 /// driver. A failing (or throwing — exceptions are converted to Status

@@ -217,9 +217,9 @@ std::string StorageStats::ToTable() const {
 }
 
 std::string StorageStats::ToJson() const {
-  // Logical fields only: every number here is part of the --jobs /
-  // --partitions byte-identity contract. Index data is deliberately
-  // absent (physical; see the text table).
+  // Logical fields only: every number here is part of the --jobs
+  // byte-identity contract. Index data is deliberately absent
+  // (physical; see the text table).
   std::string out;
   out += "{\"schema\":\"idlog-dbstats-v1\",\"relations\":[";
   bool first = true;

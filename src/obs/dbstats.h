@@ -18,9 +18,9 @@ namespace idlog {
 
 /// Per-relation storage statistics. The logical fields (name, kind,
 /// group, arity, tuples, version, clear_generation, approx_bytes) are
-/// byte-identical across --jobs/--partitions settings: tuple contents,
-/// committed-insert counts and the byte formula all live on the
-/// deterministic side of the executor's commit contract. The index_*
+/// byte-identical across --jobs settings: tuple contents, committed-
+/// insert counts and the byte formula all live on the deterministic
+/// side of the executor's commit contract. The index_*
 /// fields are physical — the indexes a relation owns, which for EDB
 /// relations outlive a run, so they depend on what ran before — so they
 /// appear in the text table only, never in the JSON document (same
@@ -104,7 +104,7 @@ struct StorageStats {
   std::string ToTable() const;
 
   /// Deterministic `idlog-dbstats-v1` JSON: logical fields only, so
-  /// the document is byte-identical across --jobs/--partitions.
+  /// the document is byte-identical across --jobs.
   std::string ToJson() const;
 };
 

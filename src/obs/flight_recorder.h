@@ -15,7 +15,7 @@ namespace idlog {
 
 /// What a flight-recorder event describes. The payload fields a/b/c are
 /// kind-specific (see the table in docs/INTERNALS.md §14):
-///   kRunStart         label=mode ("seminaive"/"naive"), a=threads, b=partitions
+///   kRunStart         label="run", a=threads
 ///   kRunEnd           label=status code name, a=ok(1)/failed(0)
 ///   kRoundStart       a=stratum, b=round, c=tasks
 ///   kRoundCommit      a=stratum, b=round, c=new facts this round

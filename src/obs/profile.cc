@@ -85,8 +85,8 @@ void EvalProfile::ToMetrics(MetricsRegistry* metrics) const {
   metrics->AddCounter("totals.id_groups_assigned", totals.id_groups_assigned);
   metrics->AddCounter("totals.id_tuples_materialized",
                       totals.id_tuples_materialized);
-  // All three are identical across --jobs and --partitions. index_builds
-  // and index_cache_misses are physical, though: they depend on what
+  // All three are identical across --jobs. index_builds and
+  // index_cache_misses are physical, though: they depend on what
   // earlier runs left built (EDB indexes outlive a run).
   metrics->AddCounter("totals.index_probes", totals.index_probes);
   metrics->AddCounter("totals.index_builds", totals.index_builds);

@@ -48,14 +48,23 @@ std::string ScriptedTidAssigner::SaveState() const {
 
 Status ScriptedTidAssigner::RestoreState(const std::string& state) {
   std::istringstream in(state);
+  // A list is its length, then its entries. Each entry takes a
+  // separator and at least one digit, so a length the state string
+  // cannot hold fails the read before anything is sized from it.
+  auto read_list = [&in, &state](std::vector<uint64_t>* list) {
+    size_t n = 0;
+    in >> n;
+    if (n > state.size() / 2) in.setstate(std::ios::failbit);
+    if (in.fail()) return;
+    list->resize(n);
+    for (uint64_t& r : *list) in >> r;
+  };
   size_t pos = 0;
-  size_t n = 0;
-  in >> pos >> n;
-  std::vector<uint64_t> script(n);
-  for (uint64_t& r : script) in >> r;
-  in >> n;
-  std::vector<uint64_t> radices(n);
-  for (uint64_t& r : radices) in >> r;
+  std::vector<uint64_t> script;
+  std::vector<uint64_t> radices;
+  in >> pos;
+  read_list(&script);
+  read_list(&radices);
   if (in.fail()) {
     return Status::InvalidArgument(
         "snapshot carries a malformed scripted-assigner state");

@@ -23,6 +23,9 @@ constexpr uint32_t kSectionProfile = 8;
 constexpr uint32_t kSectionDeriv = 9;
 constexpr uint32_t kSectionWalPos = 10;
 
+/// Encoded size of one value: a sort byte and a u64 payload.
+constexpr size_t kValueBytes = 1 + 8;
+
 const char* SectionName(uint32_t tag) {
   switch (tag) {
     case kSectionEnd: return "END";
@@ -143,6 +146,20 @@ struct Reader {
   }
   bool AtEnd() const { return pos == data.size(); }
 
+  /// Rejects `count` elements of at least `min_bytes` each when the
+  /// bytes left in the section cannot hold them. Checked before every
+  /// resize or reserve, so a lying count is an error rather than an
+  /// allocation of whatever the file claims.
+  Status Fits(uint64_t count, size_t min_bytes) {
+    if (count > (data.size() - pos) / min_bytes) {
+      return Status::InvalidArgument(
+          "snapshot corrupt: section " + where + " claims " +
+          std::to_string(count) + " entries in " +
+          std::to_string(data.size() - pos) + " remaining bytes");
+    }
+    return Status::OK();
+  }
+
   Status U8(uint8_t* v) {
     IDLOG_RETURN_NOT_OK(Need(1));
     *v = static_cast<uint8_t>(data[pos++]);
@@ -209,6 +226,7 @@ Status ReadRelation(Reader* r, size_t num_symbols, bool with_counters,
                     Relation* out) {
   uint32_t arity = 0;
   IDLOG_RETURN_NOT_OK(r->U32(&arity));
+  IDLOG_RETURN_NOT_OK(r->Fits(arity, 1));
   RelationType type;
   type.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {
@@ -223,6 +241,7 @@ Status ReadRelation(Reader* r, size_t num_symbols, bool with_counters,
   }
   uint64_t nrows = 0;
   IDLOG_RETURN_NOT_OK(r->U64(&nrows));
+  if (arity > 0) IDLOG_RETURN_NOT_OK(r->Fits(nrows, arity * kValueBytes));
   *out = Relation(type);
   for (uint64_t row = 0; row < nrows; ++row) {
     Tuple t;
@@ -278,6 +297,7 @@ Status ReadRelation(Reader* r, size_t num_symbols, bool with_counters,
 /// no relation type to check against).
 Status ReadValues(Reader* r, size_t num_symbols, uint32_t count,
                   Tuple* out) {
+  IDLOG_RETURN_NOT_OK(r->Fits(count, kValueBytes));
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint8_t sort = 0;
@@ -753,10 +773,12 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         if (snap.has_analysis) {
           uint32_t nrules = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nrules));
+          IDLOG_RETURN_NOT_OK(r.Fits(nrules, 4));  // u32 step count
           snap.analysis.rules.resize(nrules);
           for (uint32_t i = 0; i < nrules; ++i) {
             uint32_t nsteps = 0;
             IDLOG_RETURN_NOT_OK(r.U32(&nsteps));
+            IDLOG_RETURN_NOT_OK(r.Fits(nsteps, 6 * 8));  // six u64
             snap.analysis.rules[i].steps.resize(nsteps);
             for (StepCounters& c : snap.analysis.rules[i].steps) {
               IDLOG_RETURN_NOT_OK(r.U64(&c.rows_in));
@@ -769,11 +791,13 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           }
           uint32_t nstrata = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nstrata));
+          IDLOG_RETURN_NOT_OK(r.Fits(nstrata, 4 + 8));  // i32, u64
           snap.analysis.strata.resize(nstrata);
           for (StratumRoundStats& s : snap.analysis.strata) {
             IDLOG_RETURN_NOT_OK(r.I32(&s.stratum));
             uint64_t nrounds = 0;
             IDLOG_RETURN_NOT_OK(r.U64(&nrounds));
+            IDLOG_RETURN_NOT_OK(r.Fits(nrounds, 8));
             s.new_facts_per_round.resize(nrounds);
             for (uint64_t& v : s.new_facts_per_round) {
               IDLOG_RETURN_NOT_OK(r.U64(&v));
@@ -789,6 +813,8 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         if (snap.has_profile) {
           uint32_t nrules = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nrules));
+          // Two i32, two strings (u32 length each) and six u64.
+          IDLOG_RETURN_NOT_OK(r.Fits(nrules, 2 * 4 + 2 * 4 + 6 * 8));
           snap.profile.rules.resize(nrules);
           for (RuleProfile& rp : snap.profile.rules) {
             IDLOG_RETURN_NOT_OK(r.I32(&rp.clause_index));
@@ -804,6 +830,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           }
           uint32_t nstrata = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nstrata));
+          IDLOG_RETURN_NOT_OK(r.Fits(nstrata, 4 + 3 * 8));  // i32, 3 u64
           snap.profile.strata.resize(nstrata);
           for (StratumProfile& sp : snap.profile.strata) {
             IDLOG_RETURN_NOT_OK(r.I32(&sp.index));
@@ -855,6 +882,8 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
             IDLOG_RETURN_NOT_OK(r.I32(&clause_index));
             uint32_t npremises = 0;
             IDLOG_RETURN_NOT_OK(r.U32(&npremises));
+            // A kind byte, two strings and two u32 counts.
+            IDLOG_RETURN_NOT_OK(r.Fits(npremises, 1 + 2 * 4 + 2 * 4));
             std::vector<Premise> premises;
             premises.reserve(npremises);
             for (uint32_t pi = 0; pi < npremises; ++pi) {
@@ -870,6 +899,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
               IDLOG_RETURN_NOT_OK(r.Str(&p.predicate));
               uint32_t ngroup = 0;
               IDLOG_RETURN_NOT_OK(r.U32(&ngroup));
+              IDLOG_RETURN_NOT_OK(r.Fits(ngroup, 4));
               p.group.reserve(ngroup);
               for (uint32_t g = 0; g < ngroup; ++g) {
                 int32_t col = 0;

@@ -1,9 +1,8 @@
 // Storage observability: the dbstats walker's `idlog-dbstats-v1` JSON
 // must be strictly valid, its component byte sums must reconcile
 // exactly against the governor's memory charges for fresh complete
-// runs, and every logical field must be byte-identical across --jobs /
-// --partitions settings — over fixed programs and the randomized
-// corpus.
+// runs, and every logical field must be byte-identical across --jobs
+// settings — over fixed programs and the randomized corpus.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -169,22 +168,21 @@ TEST(DbStats, TripLeavesAccountedAtLeastCharged) {
 }
 
 // --------------------------------------------------------------------
-// Jobs/partitions byte-identity across the randomized corpus, plus the
-// sum invariant at every configuration.
+// --jobs byte-identity across the randomized corpus, plus the sum
+// invariant at every thread count.
 
 class DbStatsCorpus : public ::testing::TestWithParam<int> {};
 
-TEST_P(DbStatsCorpus, LogicalJsonByteIdenticalAcrossJobsAndPartitions) {
+TEST_P(DbStatsCorpus, LogicalJsonByteIdenticalAcrossJobs) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   testing_util::CorpusGenerator gen(seed);
   std::string text = gen.Generate();
   std::vector<std::vector<std::string>> edb = testing_util::CorpusEdb(seed);
 
-  auto run = [&](int jobs, int parts) {
+  auto run = [&](int jobs) {
     IdlogEngine engine;
     SeedEdb(&engine, edb);
     engine.SetThreads(jobs);
-    engine.SetDeltaPartitions(parts);
     EXPECT_TRUE(engine.LoadProgramText(text).ok());
     EXPECT_TRUE(engine.Run().ok());
     ExpectSumInvariant(&engine);
@@ -193,14 +191,10 @@ TEST_P(DbStatsCorpus, LogicalJsonByteIdenticalAcrossJobsAndPartitions) {
     return json;
   };
 
-  std::string baseline = run(1, 1);
-  for (int jobs : {1, 4}) {
-    for (int parts : {1, 3}) {
-      if (jobs == 1 && parts == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " partitions=" + std::to_string(parts));
-      EXPECT_EQ(run(jobs, parts), baseline);
-    }
+  std::string baseline = run(1);
+  for (int jobs : {2, 3, 4, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    EXPECT_EQ(run(jobs), baseline);
   }
 }
 

@@ -9,13 +9,17 @@
 #include <atomic>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "core/idlog_engine.h"
+#include "eval/rule_plan.h"
+#include "exec/round_executor.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
+#include "parser/parser.h"
 #include "test_util.h"
 
 namespace idlog {
@@ -148,8 +152,7 @@ std::vector<std::string> TraceShape(const TraceSink& sink) {
   return shape;
 }
 
-RunOutcome RunWith(int threads, int partitions,
-                   const std::string& program,
+RunOutcome RunWith(int threads, const std::string& program,
                    const std::vector<std::vector<std::string>>& edb,
                    const std::vector<std::string>& queries) {
   IdlogEngine engine;
@@ -158,7 +161,6 @@ RunOutcome RunWith(int threads, int partitions,
     EXPECT_TRUE(engine.AddRow(row[0], fields).ok());
   }
   engine.SetThreads(threads);
-  engine.SetDeltaPartitions(partitions);
   engine.EnableProfiling(true);
   engine.EnableExplain(true);
   engine.EnableProvenance(true);
@@ -244,7 +246,8 @@ void ExpectProfileSumsToTotals(const RunOutcome& run) {
 // Full byte-equality between two runs: answers, logical stats, per-rule
 // profile columns, trace shape, EXPLAIN ANALYZE JSON (logical counters
 // only) and WHY output (proof trees read the merged provenance store,
-// which order-tag absorption makes identical to the serial one).
+// which absorbing the parts in (task, partition) order makes identical
+// to the serial one).
 void ExpectSameOutcome(const RunOutcome& serial,
                        const RunOutcome& parallel) {
   EXPECT_EQ(serial.answers, parallel.answers);
@@ -270,8 +273,8 @@ void ExpectEquivalent(const std::string& program,
                       const std::vector<std::vector<std::string>>& edb,
                       const std::vector<std::string>& queries) {
   SCOPED_TRACE(program);
-  RunOutcome serial = RunWith(1, 0, program, edb, queries);
-  RunOutcome parallel = RunWith(4, 0, program, edb, queries);
+  RunOutcome serial = RunWith(1, program, edb, queries);
+  RunOutcome parallel = RunWith(4, program, edb, queries);
   ExpectSameOutcome(serial, parallel);
 }
 
@@ -549,36 +552,31 @@ TEST_P(ParallelCorpus, SerialAndParallelAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCorpus, ::testing::Range(0, 40));
 
 // --------------------------------------------------------------------
-// Delta-partition sweep: `--partitions K` is, like `--jobs`, a purely
-// physical knob. Every (jobs, partitions) combination must reproduce
-// the jobs=1/partitions=1 run byte for byte — answers, logical stats,
-// profiles, trace shape, EXPLAIN ANALYZE JSON and WHY proofs. Explicit
-// K is honored even in a serial run, so the sweep crosses partitioned
-// execution with and without a worker pool.
+// --jobs sweep: every thread count must reproduce the --jobs 1 run byte
+// for byte — answers, logical stats, profiles, trace shape, EXPLAIN
+// ANALYZE JSON and WHY proofs. A heavy task splits into as many
+// contiguous delta row ranges as there are threads, so the sweep also
+// crosses every fan-out width these counts give.
 
-constexpr int kSweepPartitions[] = {1, 2, 3, 8};
-constexpr int kSweepJobs[] = {1, 4};
+constexpr int kSweepJobs[] = {2, 3, 4, 8};
 
 void ExpectSweepMatchesBaseline(
     const std::string& program,
     const std::vector<std::vector<std::string>>& edb,
     const std::vector<std::string>& queries) {
-  RunOutcome baseline = RunWith(1, 1, program, edb, queries);
+  RunOutcome baseline = RunWith(1, program, edb, queries);
   for (int jobs : kSweepJobs) {
-    for (int parts : kSweepPartitions) {
-      if (jobs == 1 && parts == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " partitions=" + std::to_string(parts));
-      RunOutcome run = RunWith(jobs, parts, program, edb, queries);
-      ExpectSameOutcome(baseline, run);
-    }
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    RunOutcome run = RunWith(jobs, program, edb, queries);
+    ExpectSameOutcome(baseline, run);
   }
 }
 
 // The E7 bench shape: a single recursive transitive-closure rule with
-// the recursive subgoal outermost, where delta partitioning is the only
-// parallelism available. Branchy edges so partitions are non-trivial.
-TEST(PartitionSweep, SingleRecursiveRuleTransitiveClosure) {
+// the recursive subgoal outermost, where splitting the delta is the
+// only parallelism available. Branchy edges so the parts overlap in the
+// heads they derive.
+TEST(JobsSweep, SingleRecursiveRuleTransitiveClosure) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 14; ++i) {
     edb.push_back({"edge", "n" + std::to_string(i),
@@ -594,9 +592,9 @@ TEST(PartitionSweep, SingleRecursiveRuleTransitiveClosure) {
       edb, {"path"});
 }
 
-class PartitionSweepCorpus : public ::testing::TestWithParam<int> {};
+class JobsSweepCorpus : public ::testing::TestWithParam<int> {};
 
-TEST_P(PartitionSweepCorpus, AllFanoutsAgree) {
+TEST_P(JobsSweepCorpus, AllJobCountsAgree) {
   uint64_t seed = static_cast<uint64_t>(GetParam());
   testing_util::CorpusGenerator gen(seed);
   std::string text = gen.Generate();
@@ -605,17 +603,15 @@ TEST_P(PartitionSweepCorpus, AllFanoutsAgree) {
                              gen.queries());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PartitionSweepCorpus,
-                         ::testing::Range(0, 40));
+INSTANTIATE_TEST_SUITE_P(Seeds, JobsSweepCorpus, ::testing::Range(0, 40));
 
 // A governor trip mid-way through a partitioned fixpoint is part of the
 // determinism contract too: derived-tuple charges happen at Commit in
-// task order, a coordinator-side sequence identical for every jobs and
-// partition setting, so the trip fires at the same logical point and
-// the partial stats match the serial trip exactly.
-TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
-  auto run_tripped = [](int jobs, int parts, Status* st,
-                        EvalStats* stats) {
+// task order, a coordinator-side sequence identical for every --jobs,
+// so the trip fires at the same logical point and the partial stats
+// match the serial trip exactly.
+TEST(JobsSweep, GovernorTripMidPartitionedRun) {
+  auto run_tripped = [](int jobs, Status* st, EvalStats* stats) {
     IdlogEngine engine;
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
@@ -623,7 +619,6 @@ TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
                       .ok());
     }
     engine.SetThreads(jobs);
-    engine.SetDeltaPartitions(parts);
     EvalLimits limits;
     limits.max_tuples = 25;  // trips inside a later, partitioned round
     engine.SetLimits(limits);
@@ -635,21 +630,113 @@ TEST(PartitionSweep, GovernorTripMidPartitionedRun) {
   };
   Status serial_st;
   EvalStats serial_stats;
-  run_tripped(1, 1, &serial_st, &serial_stats);
+  run_tripped(1, &serial_st, &serial_stats);
   EXPECT_EQ(serial_st.code(), StatusCode::kResourceExhausted)
       << serial_st.ToString();
   for (int jobs : kSweepJobs) {
-    for (int parts : kSweepPartitions) {
-      if (jobs == 1 && parts == 1) continue;
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " partitions=" + std::to_string(parts));
-      Status st;
-      EvalStats stats;
-      run_tripped(jobs, parts, &st, &stats);
-      EXPECT_EQ(st.ToString(), serial_st.ToString());
-      ExpectSameStats(serial_stats, stats);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Status st;
+    EvalStats stats;
+    run_tripped(jobs, &st, &stats);
+    EXPECT_EQ(st.ToString(), serial_st.ToString());
+    ExpectSameStats(serial_stats, stats);
+  }
+}
+
+// --------------------------------------------------------------------
+// Contiguous delta ranges: part k of K reads the k-th row range of the
+// delta, so the parts' staged tuples, concatenated in part order with
+// repeats dropped, are exactly what one unpartitioned evaluation
+// stages. That is why the commit can walk a task's parts in index order
+// with no merge.
+
+// Runs one semi-naive task (delta at step 0) through the round executor
+// as `partitions` parts and returns each part's staged tuples, rendered.
+std::vector<std::vector<std::string>> StagedByPart(
+    const RulePlan& plan, const RelationSlots& slots, Relation* head,
+    int partitions) {
+  std::vector<RoundTask> tasks(1);
+  RoundTask& task = tasks[0];
+  task.plan = &plan;
+  task.delta_step = 0;
+  task.partitions = partitions;
+  task.head = head;
+  task.parts.resize(static_cast<size_t>(partitions));
+  for (int p = 0; p < partitions; ++p) {
+    task.parts[static_cast<size_t>(p)].partition = p;
+    task.parts[static_cast<size_t>(p)].staged = Relation(head->type());
+  }
+  Status st = RunRoundTasks(EvalContext(), slots, &tasks);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  const SymbolTable no_symbols;
+  std::vector<std::vector<std::string>> staged;
+  for (const RoundPart& part : task.parts) {
+    EXPECT_TRUE(part.status.ok()) << part.status.ToString();
+    staged.emplace_back();
+    for (const Tuple& t : part.staged.tuples()) {
+      staged.back().push_back(TupleToString(t, no_symbols));
     }
   }
+  return staged;
+}
+
+TEST(DeltaRanges, PartsConcatenateToTheSerialStaging) {
+  SymbolTable symbols;
+  auto program =
+      ParseProgram("path(X, Z) :- path(X, Y), edge(Y, Z).", &symbols);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto compiled = CompileRule(program->clauses[0]);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  RulePlan plan = std::move(*compiled);
+  ASSERT_EQ(plan.steps[0].predicate, "path");
+  ASSERT_TRUE(plan.steps[0].key_cols.empty());
+  plan.head = program->FindPredicate("path");
+  for (PlanStep& step : plan.steps) {
+    step.rel = program->FindPredicate(step.predicate);
+  }
+
+  // A branchy random graph, so distinct delta rows derive the same
+  // heads. The delta is round 0's path: the edges themselves.
+  const RelationType type = {Sort::kI, Sort::kI};
+  Relation edge(type);
+  std::mt19937 rng(7);
+  for (int i = 0; i < 60; ++i) {
+    edge.Insert({Value::Number(rng() % 20), Value::Number(rng() % 20)});
+  }
+  Relation path = edge;
+  Relation delta = edge;
+  const size_t n = program->predicates.size();
+  RelationSlots slots;
+  slots.full.assign(n, nullptr);
+  slots.derived.assign(n, nullptr);
+  slots.delta.assign(n, nullptr);
+  const size_t path_slot = static_cast<size_t>(plan.head);
+  const size_t edge_slot =
+      static_cast<size_t>(program->FindPredicate("edge"));
+  slots.full[path_slot] = &path;
+  slots.full[edge_slot] = &edge;
+  slots.derived[path_slot] = &path;
+  slots.delta[path_slot] = &delta;
+
+  std::vector<std::string> serial =
+      StagedByPart(plan, slots, &path, 1).front();
+  std::vector<std::vector<std::string>> parts =
+      StagedByPart(plan, slots, &path, 3);
+  ASSERT_EQ(parts.size(), 3u);
+  std::vector<std::string> concatenated;
+  std::set<std::string> seen;
+  size_t staged_total = 0;
+  for (const std::vector<std::string>& part : parts) {
+    EXPECT_FALSE(part.empty());
+    staged_total += part.size();
+    for (const std::string& t : part) {
+      if (seen.insert(t).second) concatenated.push_back(t);
+    }
+  }
+  // Some heads were staged by two parts; dropping those repeats leaves
+  // the serial sequence.
+  EXPECT_GT(staged_total, serial.size());
+  EXPECT_EQ(concatenated, serial);
 }
 
 // --------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -234,6 +235,226 @@ TEST(SnapshotCorruption, PreciseMessages) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
   EXPECT_TRUE(ValidateSnapshotFile(scratch.Path("sample.snap")).ok());
+}
+
+// --------------------------------------------------------------------
+// Lying counts. A snapshot is outside input, and a recomputed CRC passes
+// the framing check, so every count the decoder sizes a container from
+// must fit in the bytes left in its section: a crafted count is an
+// InvalidArgument, never an allocation of whatever the file claims.
+
+constexpr uint32_t kMetaTag = 1;
+constexpr uint32_t kDatabaseTag = 3;
+constexpr uint32_t kAnalysisTag = 7;
+constexpr uint32_t kProfileTag = 8;
+constexpr uint32_t kDerivTag = 9;
+
+uint64_t GetLe(const std::string& s, size_t pos, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(s[pos + i])) << (8 * i);
+  }
+  return v;
+}
+
+void PutLe(std::string* s, size_t pos, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    (*s)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Walks a section payload to the count field a test overwrites.
+struct Cursor {
+  const std::string& payload;
+  size_t pos = 0;
+  uint64_t Read(int bytes) {
+    uint64_t v = GetLe(payload, pos, bytes);
+    pos += static_cast<size_t>(bytes);
+    return v;
+  }
+  void Skip(uint64_t n) { pos += static_cast<size_t>(n); }
+  void SkipStr() { Skip(Read(4)); }
+};
+
+/// `bytes` with section `tag`'s payload edited by `edit`, re-framed
+/// with its new length and a recomputed CRC.
+std::string EditSection(const std::string& bytes, uint32_t tag,
+                        const std::function<void(std::string*)>& edit) {
+  size_t pos = sizeof(kSnapshotMagic) + 4;
+  while (pos + 12 <= bytes.size()) {
+    const uint64_t len = GetLe(bytes, pos + 4, 8);
+    if (GetLe(bytes, pos, 4) == tag) {
+      std::string payload = bytes.substr(pos + 12, len);
+      edit(&payload);
+      std::string framed = bytes.substr(pos, 12);
+      PutLe(&framed, 4, payload.size(), 8);
+      const uint32_t crc = Crc32(payload, Crc32(framed));
+      framed += payload + std::string(4, '\0');
+      PutLe(&framed, framed.size() - 4, crc, 4);
+      return bytes.substr(0, pos) + framed +
+             bytes.substr(pos + 12 + len + 4);
+    }
+    pos += 12 + len + 4;
+  }
+  ADD_FAILURE() << "snapshot has no section " << tag;
+  return bytes;
+}
+
+std::string SampleSnapshotWithProvenance(ScratchDir* scratch) {
+  std::string snap = scratch->Path("prov.snap");
+  IdlogEngine source;
+  SetUpSampleEngine(&source);
+  source.EnableProvenance(true);
+  EXPECT_TRUE(source.Run().ok());
+  EXPECT_TRUE(source.SaveCheckpoint(snap).ok());
+  return Slurp(snap);
+}
+
+// Positions the cursor at the first DERIV node's tuple size.
+size_t FirstTupleSize(Cursor* c) {
+  c->Skip(1);                                              // present
+  for (uint64_t n = c->Read(8); n > 0; --n) c->SkipStr();  // predicates
+  c->Read(8);                                              // node count
+  c->Read(4);                                              // predicate id
+  return c->pos;
+}
+
+// Positions the cursor at the first DERIV node's premise count.
+size_t FirstPremiseCount(Cursor* c) {
+  FirstTupleSize(c);
+  c->Skip(c->Read(4) * 9);  // tuple values: sort byte + u64 each
+  c->Read(4);               // clause index
+  return c->pos;
+}
+
+// Positions the cursor at the ANALYSIS stratum count.
+size_t AnalysisStrataCount(Cursor* c) {
+  c->Skip(1);  // present
+  for (uint64_t n = c->Read(4); n > 0; --n) {
+    c->Skip(c->Read(4) * 6 * 8);  // six u64 counters per step
+  }
+  return c->pos;
+}
+
+/// One count the decoder sizes a container from: where it sits, and
+/// how wide it is. The test sets it to the field's maximum.
+struct LyingCount {
+  const char* site;
+  uint32_t tag;
+  bool in_deriv;  ///< Needs a snapshot with provenance recorded.
+  size_t (*at)(Cursor*);
+  int field_bytes;  ///< 4 (u32) or 8 (u64).
+};
+
+TEST(SnapshotLyingCount, EveryDecoderSiteRejectsIt) {
+  ScratchDir scratch("lying");
+  const std::string plain = SampleSnapshotBytes(&scratch);
+  const std::string with_deriv = SampleSnapshotWithProvenance(&scratch);
+  const LyingCount cases[] = {
+      {"relation arity", kDatabaseTag, false,
+       [](Cursor* c) {
+         c->Read(4);  // relation count
+         c->SkipStr();
+         return c->pos;
+       },
+       4},
+      {"relation rows", kDatabaseTag, false,
+       [](Cursor* c) {
+         c->Read(4);
+         c->SkipStr();
+         c->Skip(c->Read(4));  // arity, then one sort byte per column
+         return c->pos;
+       },
+       8},
+      {"DERIV tuple size", kDerivTag, true, FirstTupleSize, 4},
+      {"DERIV premises", kDerivTag, true, FirstPremiseCount, 4},
+      {"DERIV premise group", kDerivTag, true,
+       [](Cursor* c) {
+         FirstPremiseCount(c);
+         EXPECT_GT(c->Read(4), 0u);
+         c->Skip(1);  // kind
+         c->SkipStr();
+         return c->pos;
+       },
+       4},
+      {"ANALYSIS rules", kAnalysisTag, false,
+       [](Cursor* c) { return c->pos + 1; }, 4},
+      {"ANALYSIS steps", kAnalysisTag, false,
+       [](Cursor* c) { return c->pos + 5; }, 4},
+      {"ANALYSIS strata", kAnalysisTag, false, AnalysisStrataCount, 4},
+      {"ANALYSIS rounds", kAnalysisTag, false,
+       [](Cursor* c) {
+         AnalysisStrataCount(c);
+         EXPECT_GT(c->Read(4), 0u);
+         c->Skip(4);  // stratum index
+         return c->pos;
+       },
+       8},
+      {"PROFILE rules", kProfileTag, false,
+       [](Cursor* c) { return c->pos + 1; }, 4},
+      {"PROFILE strata", kProfileTag, false,
+       [](Cursor* c) {
+         c->Skip(1);
+         for (uint64_t n = c->Read(4); n > 0; --n) {
+           c->Skip(4);  // clause index
+           c->SkipStr();
+           c->SkipStr();
+           c->Skip(4 + 6 * 8);
+         }
+         return c->pos;
+       },
+       4},
+  };
+  for (const LyingCount& lie : cases) {
+    SCOPED_TRACE(lie.site);
+    std::string crafted = EditSection(
+        lie.in_deriv ? with_deriv : plain, lie.tag, [&](std::string* p) {
+          Cursor c{*p};
+          const size_t pos = lie.at(&c);
+          PutLe(p, pos, lie.field_bytes == 4 ? UINT32_MAX : UINT64_MAX,
+                lie.field_bytes);
+        });
+    Status st;
+    EXPECT_NO_THROW(st = ParseSnapshot(crafted).status());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("remaining bytes"), std::string::npos)
+        << st.ToString();
+  }
+}
+
+// The scripted assigner's state string carries two lists, each a length
+// and its entries; a length the string cannot hold must not size
+// anything. The parse keeps the state as text; the assigner restores it
+// when the resumed run starts.
+TEST(SnapshotLyingCount, ScriptedAssignerLists) {
+  ScratchDir scratch("scripted");
+  const std::string bytes = SampleSnapshotBytes(&scratch);
+  for (const char* state : {"0 1000000000000000 0", "0 0 1000000000000000"}) {
+    SCOPED_TRACE(state);
+    std::string crafted = EditSection(bytes, kMetaTag, [&](std::string* p) {
+      Cursor c{*p};
+      // Program hash, four flags, stratum, round, in-stratum flag and
+      // the fifteen EvalStats counters precede the assigner strings.
+      c.Skip(8 + 4 + 4 + 8 + 1 + 15 * 8);
+      p->resize(c.pos);
+      for (const std::string& field : {std::string("scripted"),
+                                       std::string(state)}) {
+        p->append(4, '\0');
+        PutLe(p, p->size() - 4, field.size(), 4);
+        p->append(field);
+      }
+    });
+    const std::string path = scratch.Path("scripted.snap");
+    ASSERT_TRUE(WriteFileAtomic(path, crafted).ok());
+    IdlogEngine engine;
+    ASSERT_TRUE(engine.ResumeFromCheckpoint(path).ok());
+    ASSERT_TRUE(engine.LoadProgramText(kSampleProgram).ok());
+    Status st;
+    EXPECT_NO_THROW(st = engine.Run());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("scripted-assigner"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 // --------------------------------------------------------------------
