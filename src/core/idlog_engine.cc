@@ -125,7 +125,7 @@ SnapshotConfig IdlogEngine::CurrentConfig() const {
 }
 
 SnapshotView IdlogEngine::CurrentView(
-    const SnapshotProgress& progress) const {
+    const FixpointFrame& progress) const {
   SnapshotView view;
   view.symbols = &symbols_;
   view.database = &database_;
@@ -142,7 +142,7 @@ SnapshotView IdlogEngine::CurrentView(
 }
 
 std::string IdlogEngine::SerializeCurrentState(
-    const SnapshotProgress& progress) const {
+    const FixpointFrame& progress) const {
   return SerializeSnapshot(CurrentView(progress));
 }
 
@@ -150,21 +150,8 @@ Status IdlogEngine::OnCheckpointFrame(
     const FixpointFrame& frame,
     const std::map<std::string, Relation>& delta) {
   IDLOG_FAILPOINT("engine.checkpoint.frame");
-  SnapshotView view;
-  view.symbols = &symbols_;
-  view.database = &database_;
-  view.derived = &impl_->derived();
-  view.id_relations = &impl_->id_relations();
-  view.delta = frame.in_stratum ? &delta : nullptr;
-  view.stats = &impl_->stats();
-  view.analysis = impl_->explain_enabled() ? &impl_->plan_analysis() : nullptr;
-  view.profile = impl_->profiling_enabled() ? &impl_->profile() : nullptr;
-  view.provenance = provenance_ ? &impl_->provenance() : nullptr;
-  view.config = CurrentConfig();
-  view.progress.completed = frame.completed;
-  view.progress.stratum = frame.stratum;
-  view.progress.round = frame.round;
-  view.progress.in_stratum = frame.in_stratum;
+  SnapshotView view = CurrentView(frame);
+  if (frame.in_stratum) view.delta = &delta;
   last_frame_ = SerializeSnapshot(view);
   if (++frames_since_write_ >= checkpoint_every_) {
     frames_since_write_ = 0;
@@ -177,7 +164,7 @@ Status IdlogEngine::SaveCheckpoint(const std::string& path) {
   // ran_ implies a loaded program; the cold-start branch below handles
   // an engine with no program at all (config hash 0, database only).
   if (ran_ && last_trip_.ok()) {
-    SnapshotProgress done;
+    FixpointFrame done;
     done.completed = true;
     done.stratum = impl_->stratification().num_strata;
     return WriteFileAtomic(path, SerializeCurrentState(done));
@@ -271,21 +258,7 @@ Status IdlogEngine::Run() {
   if (pending_resume_ != nullptr) {
     std::unique_ptr<SnapshotData> snap = std::move(pending_resume_);
     IDLOG_RETURN_NOT_OK(RestoreAssigner(snap->config));
-    EvalResumeState state;
-    state.derived = std::move(snap->derived);
-    state.id_relations = std::move(snap->id_relations);
-    state.delta = std::move(snap->delta);
-    state.stats = snap->stats;
-    state.has_analysis = snap->has_analysis;
-    state.analysis = std::move(snap->analysis);
-    state.has_profile = snap->has_profile;
-    state.profile = std::move(snap->profile);
-    state.has_provenance = snap->has_provenance;
-    state.provenance = std::move(snap->provenance);
-    state.stratum = snap->progress.stratum;
-    state.round = snap->progress.round;
-    state.in_stratum = snap->progress.in_stratum;
-    impl_->InstallResumeState(std::move(state));
+    impl_->InstallResumeState(std::move(snap->eval));
     // A completed snapshot resumes at stratum == num_strata, so the
     // Evaluate() below adopts the finished model without doing work.
   }
@@ -331,7 +304,7 @@ Status IdlogEngine::Run() {
   FlightRecorder::Record(FlightEventKind::kRunEnd, "ok", 0,
                          static_cast<int64_t>(stats().facts_inserted));
   if (!checkpoint_path_.empty()) {
-    SnapshotProgress done;
+    FixpointFrame done;
     done.completed = true;
     done.stratum = impl_->stratification().num_strata;
     return WriteFileAtomic(checkpoint_path_, SerializeCurrentState(done));
@@ -614,6 +587,11 @@ Status IdlogEngine::ApplyCommittedOps() {
     // No model to extend (first evaluation still pending).
     return Run();
   }
+  // Budgets bound each pass, as in Run(): the deadline and the
+  // iteration cap count from this commit, while the tuple and memory
+  // budgets keep bounding the whole model, which is charged again first.
+  governor_.Arm(limits_);
+  IDLOG_RETURN_NOT_OK(RechargeGovernor());
   Status st = impl_->EvaluateIncremental(inserted, seminaive_);
   if (st.code() == StatusCode::kUnsupported) {
     ran_ = false;
@@ -658,7 +636,7 @@ Status IdlogEngine::WalCheckpoint() {
 }
 
 Status IdlogEngine::WriteSessionSnapshot(uint64_t epoch, uint64_t offset) {
-  SnapshotProgress done;
+  FixpointFrame done;
   done.completed = true;
   done.stratum = impl_->stratification().num_strata;
   SnapshotView view = CurrentView(done);
@@ -925,25 +903,6 @@ void IdlogEngine::EnableProvenance(bool enabled) {
   if (provenance_ != enabled) ran_ = false;
   provenance_ = enabled;
   if (impl_ != nullptr) impl_->set_provenance_enabled(enabled);
-}
-
-Result<std::string> IdlogEngine::Explain(const std::string& pred,
-                                         const Tuple& tuple) {
-  if (!provenance_) {
-    return Status::InvalidArgument(
-        "call EnableProvenance(true) before Run() to use Explain()");
-  }
-  IDLOG_RETURN_NOT_OK(Run());
-  IDLOG_ASSIGN_OR_RETURN(const Relation* rel, impl_->RelationOf(pred));
-  if (!rel->Contains(tuple)) {
-    return Status::NotFound(pred + TupleToString(tuple, symbols_) +
-                            " does not hold in the computed model");
-  }
-  auto is_leaf = [this](const std::string& p, const Tuple& t) {
-    Result<const Relation*> stored = database_.Get(p);
-    return stored.ok() && (*stored)->Contains(t);
-  };
-  return ExplainFact(impl_->provenance(), symbols_, pred, tuple, is_leaf);
 }
 
 Result<ProofTree> IdlogEngine::BuildWhy(const std::string& pred,

@@ -195,18 +195,13 @@ class IdlogEngine {
   /// The profile of the last Run() (empty unless profiling enabled).
   const EvalProfile& profile() const;
 
-  /// Records derivations during evaluation so Explain() works. Off by
+  /// Records derivations during evaluation so Why() works. Off by
   /// default (memory proportional to the number of derived facts).
   void EnableProvenance(bool enabled);
 
-  /// Renders the derivation tree of `pred(tuple)` from the last run:
-  /// which clause fired, from which facts, which tid choices and
-  /// built-ins it used. Requires EnableProvenance(true); runs first if
-  /// needed. NotFound if the fact does not hold.
-  Result<std::string> Explain(const std::string& pred, const Tuple& tuple);
-
-  /// WHY: renders a bounded proof tree for `pred(tuple)` — the budgeted
-  /// successor of Explain(), with an explicit depth/node budget, cycle
+  /// WHY: renders a bounded proof tree for `pred(tuple)` from the last
+  /// run — which clause fired, from which facts, which tid choices and
+  /// built-ins it used — with an explicit depth/node budget, cycle
   /// safety, and a deterministic `idlog-why-v1` JSON twin. Requires
   /// EnableProvenance(true); runs first if needed. NotFound if the fact
   /// does not hold (use WhyNot for those).
@@ -387,8 +382,8 @@ class IdlogEngine {
                                          const WhyBudget& budget);
   void DumpFlightRecorder() const;
   SnapshotConfig CurrentConfig() const;
-  SnapshotView CurrentView(const SnapshotProgress& progress) const;
-  std::string SerializeCurrentState(const SnapshotProgress& progress) const;
+  SnapshotView CurrentView(const FixpointFrame& progress) const;
+  std::string SerializeCurrentState(const FixpointFrame& progress) const;
   Status OnCheckpointFrame(const FixpointFrame& frame,
                            const std::map<std::string, Relation>& delta);
   Status RestoreAssigner(const SnapshotConfig& config);
@@ -402,9 +397,10 @@ class IdlogEngine {
   /// Writes the session snapshot to wal_path_ + ".snap" with a WAL
   /// position of (epoch, offset, wal_commits_).
   Status WriteSessionSnapshot(uint64_t epoch, uint64_t offset);
-  /// Charges the governor for an adopted snapshot's derived state, so
-  /// recovered sessions report the same totals.memory_bytes as the
-  /// session they replace.
+  /// Charges a freshly armed governor for the current model — an
+  /// adopted snapshot's, or the one an insert commit extends — exactly
+  /// as the run that computed it did, so totals.memory_bytes and the
+  /// tuple and memory budgets see the whole model.
   Status RechargeGovernor();
   Status ReplayWal(const WalScanResult& scan, uint64_t replay_from);
 

@@ -236,10 +236,12 @@ void EngineImpl::InstallResumeState(EvalResumeState state) {
     provenance_.Clear();
   }
   pending_resume_ = std::make_unique<PendingResume>();
-  pending_resume_->delta = std::move(state.delta);
-  pending_resume_->stratum = state.stratum;
-  pending_resume_->round = state.round;
-  pending_resume_->in_stratum = state.in_stratum;
+  pending_resume_->stratum = state.frame.stratum;
+  if (state.frame.in_stratum) {
+    pending_resume_->start.emplace();
+    pending_resume_->start->round = state.frame.round;
+    pending_resume_->start->delta = std::move(state.delta);
+  }
 }
 
 Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
@@ -288,31 +290,6 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     }
   }
 
-  // Stamps the run's wall time into the stats, the profile and the
-  // profile totals on every exit path — trips and errors included, so a
-  // partial run still reports how long it ran.
-  struct WallStamp {
-    EngineImpl* engine;
-    std::chrono::steady_clock::time_point t0 =
-        std::chrono::steady_clock::now();
-    ~WallStamp() {
-      uint64_t ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      engine->stats_.eval_wall_ns = ns;
-      // Provenance footprint: logical quantities of the merged store
-      // (identical across --jobs), surfaced as provenance.* metrics.
-      engine->stats_.provenance_nodes = engine->provenance_.size();
-      engine->stats_.provenance_premises =
-          engine->provenance_.num_premises();
-      engine->stats_.provenance_bytes = engine->provenance_.approx_bytes();
-      if (engine->profiling_) {
-        engine->profile_.wall_ns = ns;
-        engine->profile_.totals = engine->stats_;
-      }
-    }
-  } wall_stamp{this};
   TraceSpan eval_span(trace_, "evaluate", "engine");
   eval_span.AddArg(TraceArg::Int("strata", strat_.num_strata));
   eval_span.AddArg(TraceArg::Str("mode", seminaive ? "seminaive" : "naive"));
@@ -334,129 +311,7 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
       derived_.emplace(pred, Relation(std::move(types[p])));
     }
   }
-  RelationSlots slots = FillSlots();
-
-  EvalContext ctx;
-  ctx.stats = &stats_;
-  ctx.use_indexes = use_indexes_;
-  ctx.governor = governor_;
-  ctx.trace = trace_;
-  ctx.profile = profiling_ ? &profile_ : nullptr;
-  ctx.analyze = explain_ ? &plan_analysis_ : nullptr;
-  // Parallel stratum execution. Provenance-enabled runs parallelize
-  // too: workers record into private per-task stores that the round
-  // merge absorbs in serial task order (see stratum_eval.cc).
-  if (threads_ > 1) {
-    if (pool_ == nullptr || pool_->size() != threads_) {
-      pool_ = std::make_unique<ThreadPool>(threads_);
-    }
-    ctx.pool = pool_.get();
-  } else {
-    pool_.reset();
-  }
-  // A shared governor can outlive this engine (enumerators create
-  // stack-local engines against one long-lived governor); the guard
-  // withdraws our stats_ pointer and labels on every exit path so a
-  // later trip never dereferences a destroyed engine.
-  GovernorScope governor_scope(governor_, &stats_, "stratum fixpoint");
-  if (provenance_enabled_) {
-    ctx.provenance = &provenance_;
-    ctx.symbols = database_->symbols();
-  }
-
-  const int start_stratum = resume != nullptr ? resume->stratum : 0;
-  for (int s = start_stratum; s < strat_.num_strata; ++s) {
-    // A mid-stratum resume re-enters the checkpointed stratum: its
-    // entry was already counted before the frame was cut, and its
-    // pre-checkpoint rounds (0..round) belong to this stratum's profile
-    // row even though this Evaluate() did not run them.
-    const bool mid_stratum_resume =
-        resume != nullptr && resume->in_stratum && s == resume->stratum;
-    if (!mid_stratum_resume) ++stats_.strata_evaluated;
-    ctx.stratum = s;
-    TraceSpan stratum_span(trace_, "stratum " + std::to_string(s),
-                           "stratum");
-    uint64_t rounds_before = stats_.iterations;
-    if (mid_stratum_resume) rounds_before -= resume->round + 1;
-    const uint64_t inserted_before = stats_.facts_inserted;
-    auto stratum_t0 = std::chrono::steady_clock::now();
-    if (governor_ != nullptr) {
-      governor_->set_stratum(s);
-      IDLOG_RETURN_NOT_OK(governor_->CheckPoint(0));
-    }
-    // Materialize the ID-relations this stratum reads that no earlier
-    // stratum (or the resumed snapshot) did, in deterministic
-    // clause/step order (ScriptedTidAssigner relies on this order).
-    for (int clause_idx : strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
-      const RulePlan& plan = plans_[static_cast<size_t>(clause_idx)];
-      for (const PlanStep& step : plan.steps) {
-        if (step.kind == PlanStep::Kind::kBuiltin || !step.is_id) continue;
-        const size_t k = static_cast<size_t>(step.rel);
-        if (slots.id[k] == nullptr) {
-          IDLOG_RETURN_NOT_OK(MaterializeIdRelation(k, assigner, &slots));
-        }
-      }
-    }
-
-    std::vector<const RulePlan*> stratum_plans;
-    std::set<std::string> stratum_preds;
-    for (int clause_idx : strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
-      stratum_plans.push_back(&plans_[static_cast<size_t>(clause_idx)]);
-      stratum_preds.insert(plans_[static_cast<size_t>(clause_idx)].head_pred);
-    }
-    // The checkpointer sees every round boundary as a resumable frame:
-    // mid-stratum boundaries carry (stratum, round, delta); the
-    // fixpoint boundary advances to the next stratum (and marks the
-    // whole run complete after the last one).
-    RoundBoundaryHook on_round = nullptr;
-    if (checkpoint_hook_ != nullptr) {
-      on_round = [this, s](uint64_t round, bool fixpoint,
-                           const std::map<std::string, Relation>& delta)
-          -> Status {
-        FixpointFrame frame;
-        if (fixpoint) {
-          frame.stratum = s + 1;
-          frame.completed = s + 1 == strat_.num_strata;
-        } else {
-          frame.stratum = s;
-          frame.round = round;
-          frame.in_stratum = true;
-        }
-        static const std::map<std::string, Relation> kNoDelta;
-        return checkpoint_hook_(frame, fixpoint ? kNoDelta : delta);
-      };
-    }
-
-    StratumResume stratum_resume;
-    if (mid_stratum_resume) {
-      stratum_resume.round = resume->round;
-      stratum_resume.delta = std::move(resume->delta);
-    }
-    Status stratum_status = Status::OK();
-    if (!stratum_plans.empty()) {
-      stratum_status = EvaluateStratum(
-          stratum_plans, stratum_preds, ctx, slots, seminaive,
-          mid_stratum_resume ? &stratum_resume : nullptr, on_round);
-    }
-    if (profiling_) {
-      StratumProfile sp;
-      sp.index = s;
-      sp.rules = stratum_plans.size();
-      sp.rounds = stats_.iterations - rounds_before;
-      sp.wall_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - stratum_t0)
-              .count());
-      profile_.strata.push_back(sp);
-    }
-    stratum_span.AddArg(TraceArg::Num("rules", stratum_plans.size()));
-    stratum_span.AddArg(
-        TraceArg::Num("rounds", stats_.iterations - rounds_before));
-    stratum_span.AddArg(
-        TraceArg::Num("inserted", stats_.facts_inserted - inserted_before));
-    IDLOG_RETURN_NOT_OK(stratum_status);
-  }
-  return Status::OK();
+  return RunStrata(assigner, seminaive, resume.get(), /*seed=*/nullptr);
 }
 
 Status EngineImpl::EvaluateIncremental(
@@ -535,6 +390,24 @@ Status EngineImpl::EvaluateIncremental(
     }
   }
 
+  TraceSpan eval_span(trace_, "evaluate incremental", "engine");
+  eval_span.AddArg(TraceArg::Num("changed_preds", changed.size()));
+  // Every stratum the change reaches continues the completed run; a
+  // tainted predicate is the only kind whose delta can be non-empty.
+  StratumStart seed;
+  seed.delta = changed;
+  seed.extra_preds = std::move(tainted);
+  return RunStrata(/*assigner=*/nullptr, seminaive, /*resume=*/nullptr,
+                   &seed);
+}
+
+Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
+                             PendingResume* resume, StratumStart* seed) {
+  const bool incremental = seed != nullptr;
+  // Stamps the wall time into the stats, the profile and the profile
+  // totals on every exit path — trips and errors included, so a partial
+  // run still reports how long it ran. A resumed or incremental pass
+  // adds to the wall time of the run it extends.
   struct WallStamp {
     EngineImpl* engine;
     uint64_t base_ns;
@@ -547,6 +420,8 @@ Status EngineImpl::EvaluateIncremental(
                             std::chrono::steady_clock::now() - t0)
                             .count());
       engine->stats_.eval_wall_ns = ns;
+      // Provenance footprint: logical quantities of the merged store
+      // (identical across --jobs), surfaced as provenance.* metrics.
       engine->stats_.provenance_nodes = engine->provenance_.size();
       engine->stats_.provenance_premises =
           engine->provenance_.num_premises();
@@ -557,13 +432,11 @@ Status EngineImpl::EvaluateIncremental(
       }
     }
   } wall_stamp{this, stats_.eval_wall_ns};
-  TraceSpan eval_span(trace_, "evaluate incremental", "engine");
-  eval_span.AddArg(TraceArg::Num("changed_preds", changed.size()));
 
-  // A completed run materialized (at each stratum's entry) every
-  // ID-relation its plans read, and the refusal above rules out tainted
-  // bases, so the slots hold them all; binding reports a missing one as
-  // a broken invariant.
+  // An incremental pass reads the ID-relations the completed run
+  // materialized (at each stratum's entry) and never materializes one:
+  // its refusals rule out tainted bases, so binding reports a missing
+  // one as a broken invariant.
   RelationSlots slots = FillSlots();
   EvalContext ctx;
   ctx.stats = &stats_;
@@ -571,10 +444,10 @@ Status EngineImpl::EvaluateIncremental(
   ctx.governor = governor_;
   ctx.trace = trace_;
   ctx.profile = profiling_ ? &profile_ : nullptr;
-  // EXPLAIN ANALYZE counters keep describing the last full run: the
-  // per-stratum round log is keyed by stratum index and an incremental
-  // pass would append duplicate entries.
-  ctx.analyze = nullptr;
+  ctx.analyze = explain_ ? &plan_analysis_ : nullptr;
+  // Parallel stratum execution. Provenance-enabled runs parallelize
+  // too: workers record into private per-task stores that the round
+  // merge absorbs in serial task order (see stratum_eval.cc).
   if (threads_ > 1) {
     if (pool_ == nullptr || pool_->size() != threads_) {
       pool_ = std::make_unique<ThreadPool>(threads_);
@@ -583,100 +456,144 @@ Status EngineImpl::EvaluateIncremental(
   } else {
     pool_.reset();
   }
-  GovernorScope governor_scope(governor_, &stats_, "incremental fixpoint");
+  // A shared governor can outlive this engine (enumerators create
+  // stack-local engines against one long-lived governor); the guard
+  // withdraws our stats_ pointer and labels on every exit path so a
+  // later trip never dereferences a destroyed engine.
+  GovernorScope governor_scope(
+      governor_, &stats_,
+      incremental ? "incremental fixpoint" : "stratum fixpoint");
   if (provenance_enabled_) {
     ctx.provenance = &provenance_;
     ctx.symbols = database_->symbols();
   }
 
-  // `seed` accumulates every externally-visible change as strata run:
-  // the EDB insertions up front, then each stratum's own growth, so a
-  // later stratum differentiates on everything below it at once.
-  std::map<std::string, Relation> seed = changed;
-  std::set<std::string> seed_preds = tainted;  // includes downstream IDBs
-  for (int s = 0; s < strat_.num_strata; ++s) {
+  for (int s = resume != nullptr ? resume->stratum : 0; s < strat_.num_strata;
+       ++s) {
     std::vector<const RulePlan*> stratum_plans;
     std::set<std::string> stratum_preds;
-    bool touches_seed = false;
+    bool reached = false;
     for (int clause_idx : strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
       const RulePlan& plan = plans_[static_cast<size_t>(clause_idx)];
       stratum_plans.push_back(&plan);
       stratum_preds.insert(plan.head_pred);
       for (int step : plan.positive_scan_steps) {
-        if (seed.count(plan.steps[static_cast<size_t>(step)].predicate) >
-            0) {
-          touches_seed = true;
+        if (incremental &&
+            seed->delta.count(plan.steps[static_cast<size_t>(step)]
+                                  .predicate) > 0) {
+          reached = true;
         }
       }
     }
-    // A stratum none of whose rules scans a changed predicate derives
-    // exactly what it already derived; skip it without charging rounds.
-    if (!touches_seed) continue;
-    ++stats_.strata_evaluated;
+    // Where the stratum starts and who sees its round boundaries: the
+    // seed and its accumulator in an incremental pass (a stratum none of
+    // whose rules scans a changed predicate derives exactly what it
+    // already derived, so it is skipped without charging rounds), else
+    // round 0 or the checkpointed frame, and the checkpoint writer.
+    StratumStart seeded;
+    StratumStart* start = nullptr;
+    RoundBoundaryHook on_round = nullptr;
+    if (incremental) {
+      if (!reached) continue;
+      seeded = *seed;
+      start = &seeded;
+      on_round = [seed](uint64_t round,
+                        const std::map<std::string, Relation>& delta) {
+        (void)round;
+        for (const auto& [pred, rel] : delta) {
+          Relation& acc =
+              seed->delta.try_emplace(pred, Relation(rel.type()))
+                  .first->second;
+          for (const Tuple& t : rel.tuples()) acc.Insert(t);
+        }
+        return Status::OK();
+      };
+    } else {
+      if (resume != nullptr && s == resume->stratum && resume->start) {
+        start = &*resume->start;
+      }
+      if (checkpoint_hook_ != nullptr) {
+        on_round = [this, s](uint64_t round,
+                             const std::map<std::string, Relation>& delta) {
+          FixpointFrame frame;
+          frame.stratum = s;
+          frame.round = round;
+          frame.in_stratum = true;
+          return checkpoint_hook_(frame, delta);
+        };
+      }
+    }
+    // A stratum continued from a checkpoint frame was entered, and its
+    // rounds up to the frame were counted, before the frame was cut;
+    // those rounds belong to this stratum's profile row and trace args
+    // even though this pass did not run them.
+    const bool continued = !incremental && start != nullptr;
+    if (!continued) ++stats_.strata_evaluated;
     ctx.stratum = s;
-    TraceSpan stratum_span(trace_,
-                           "incremental stratum " + std::to_string(s),
-                           "stratum");
-    uint64_t rounds_before = stats_.iterations;
+    TraceSpan stratum_span(
+        trace_,
+        (incremental ? "incremental stratum " : "stratum ") +
+            std::to_string(s),
+        "stratum");
+    const uint64_t rounds_before =
+        stats_.iterations - (continued ? start->round + 1 : 0);
     const uint64_t inserted_before = stats_.facts_inserted;
     auto stratum_t0 = std::chrono::steady_clock::now();
     if (governor_ != nullptr) {
       governor_->set_stratum(s);
       IDLOG_RETURN_NOT_OK(governor_->CheckPoint(0));
     }
-    // Collect this stratum's growth into the seed for the strata above.
-    RoundBoundaryHook accumulate =
-        [&seed, &seed_preds](uint64_t round, bool fixpoint,
-                             const std::map<std::string, Relation>& delta)
-        -> Status {
-      (void)round;
-      (void)fixpoint;
-      for (const auto& [pred, rel] : delta) {
-        Relation& acc =
-            seed.try_emplace(pred, Relation(rel.type())).first->second;
-        for (const Tuple& t : rel.tuples()) acc.Insert(t);
-        seed_preds.insert(pred);
+    // Materialize the ID-relations this stratum reads that no earlier
+    // stratum (or the resumed snapshot) did, in deterministic
+    // clause/step order (ScriptedTidAssigner relies on this order).
+    for (const RulePlan* plan : stratum_plans) {
+      for (const PlanStep& step : plan->steps) {
+        if (incremental || !step.is_id) continue;
+        const size_t k = static_cast<size_t>(step.rel);
+        if (slots.id[k] == nullptr) {
+          IDLOG_RETURN_NOT_OK(MaterializeIdRelation(k, assigner, &slots));
+        }
       }
-      return Status::OK();
-    };
-    StratumResume seeded;
-    seeded.round = 0;  // Round 0 is the completed run; start at round 1.
-    seeded.delta = seed;
-    Status stratum_status =
-        EvaluateStratum(stratum_plans, stratum_preds, ctx, slots,
-                        /*seminaive=*/true, &seeded, accumulate,
-                        &seed_preds);
+    }
+
+    Status stratum_status = Status::OK();
+    if (!stratum_plans.empty()) {
+      stratum_status = EvaluateStratum(stratum_plans, stratum_preds, ctx,
+                                       slots, seminaive, start, on_round);
+    }
+    const uint64_t rounds = stats_.iterations - rounds_before;
     if (profiling_) {
-      // Fold into the stratum's existing profile row (metrics are keyed
-      // by stratum index; a duplicate row would collide).
-      uint64_t wall = static_cast<uint64_t>(
+      // One row per stratum index: created by the first pass that runs
+      // the stratum, extended by later ones.
+      auto row = std::find_if(
+          profile_.strata.begin(), profile_.strata.end(),
+          [s](const StratumProfile& sp) { return sp.index == s; });
+      if (row == profile_.strata.end()) {
+        profile_.strata.emplace_back();
+        row = profile_.strata.end() - 1;
+        row->index = s;
+        row->rules = stratum_plans.size();
+      }
+      row->rounds += rounds;
+      row->wall_ns += static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - stratum_t0)
               .count());
-      bool found = false;
-      for (StratumProfile& sp : profile_.strata) {
-        if (sp.index == s) {
-          sp.rounds += stats_.iterations - rounds_before;
-          sp.wall_ns += wall;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        StratumProfile sp;
-        sp.index = s;
-        sp.rules = stratum_plans.size();
-        sp.rounds = stats_.iterations - rounds_before;
-        sp.wall_ns = wall;
-        profile_.strata.push_back(sp);
-      }
     }
     stratum_span.AddArg(TraceArg::Num("rules", stratum_plans.size()));
-    stratum_span.AddArg(
-        TraceArg::Num("rounds", stats_.iterations - rounds_before));
+    stratum_span.AddArg(TraceArg::Num("rounds", rounds));
     stratum_span.AddArg(
         TraceArg::Num("inserted", stats_.facts_inserted - inserted_before));
     IDLOG_RETURN_NOT_OK(stratum_status);
+    // The frame that leaves the stratum (and, after the last one,
+    // completes the run), cut after the stratum's accounting.
+    if (!incremental && checkpoint_hook_ != nullptr &&
+        !stratum_plans.empty()) {
+      FixpointFrame frame;
+      frame.stratum = s + 1;
+      frame.completed = s + 1 == strat_.num_strata;
+      IDLOG_RETURN_NOT_OK(checkpoint_hook_(frame, {}));
+    }
   }
   return Status::OK();
 }

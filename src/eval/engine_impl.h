@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "common/status.h"
 #include "eval/eval_stats.h"
 #include "eval/provenance.h"
+#include "eval/resume_state.h"
 #include "eval/rule_eval.h"
 #include "eval/rule_plan.h"
 #include "eval/stratum_eval.h"
@@ -27,37 +29,6 @@
 #include "storage/tid_assigner.h"
 
 namespace idlog {
-
-/// A position in the stratified fixpoint at a round boundary, as
-/// reported to the checkpoint hook. `in_stratum` distinguishes "resume
-/// stratum `stratum` at round `round`+1 with the frame's delta" from
-/// "enter stratum `stratum` fresh"; `completed` marks the boundary that
-/// finished the last stratum.
-struct FixpointFrame {
-  int stratum = 0;
-  uint64_t round = 0;
-  bool in_stratum = false;
-  bool completed = false;
-};
-
-/// Continuation state decoded from a checkpoint. The maps are adopted
-/// wholesale; `stratum`/`round`/`in_stratum` say where Evaluate() picks
-/// the fixpoint back up.
-struct EvalResumeState {
-  std::map<std::string, Relation> derived;
-  std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
-  std::map<std::string, Relation> delta;
-  EvalStats stats;
-  bool has_analysis = false;
-  PlanAnalysis analysis;
-  bool has_profile = false;
-  EvalProfile profile;
-  bool has_provenance = false;
-  ProvenanceStore provenance;
-  int stratum = 0;
-  uint64_t round = 0;
-  bool in_stratum = false;
-};
 
 /// One prepared evaluation of a stratified IDLOG program against a
 /// database: stratification + compiled rule plans, reusable across runs
@@ -86,10 +57,11 @@ class EngineImpl {
   /// Extends the model of a *completed* Evaluate() in place after new
   /// EDB facts were inserted, without re-running the full fixpoint:
   /// `changed` maps each mutated predicate to a relation holding only
-  /// the tuples that are actually new, and every stratum runs a seeded
-  /// semi-naive continuation (no round 0) whose first round
-  /// differentiates on those deltas. Stats, profile and provenance
-  /// accumulate on top of the previous run's; nothing is cleared.
+  /// the tuples that are actually new, and every stratum the change
+  /// reaches continues the completed run (no round 0) with a first
+  /// round that differentiates on those deltas. Stats, profile, EXPLAIN
+  /// ANALYZE counters and provenance accumulate on top of the previous
+  /// run's; nothing is cleared.
   ///
   /// Returns Unsupported — leaving all state untouched, so the caller
   /// can fall back to a full Evaluate() — when the change cannot be
@@ -127,8 +99,10 @@ class EngineImpl {
   void InstallResumeState(EvalResumeState state);
 
   /// Observes every fixpoint round boundary of Evaluate() with a
-  /// consistent frame (the checkpointer). A non-OK return aborts the
-  /// run. Null (default) disables.
+  /// consistent frame (the checkpointer): each boundary inside a stratum,
+  /// and the boundary that leaves a stratum once its profile row and
+  /// trace args are written. A non-OK return aborts the run. Null
+  /// (default) disables.
   using CheckpointHook = std::function<Status(
       const FixpointFrame&, const std::map<std::string, Relation>& delta)>;
   void set_checkpoint_hook(CheckpointHook hook) {
@@ -253,6 +227,26 @@ class EngineImpl {
 
   const Relation* FullRelation(const std::string& pred) const;
 
+  /// Pending continuation from InstallResumeState; consumed by the next
+  /// Evaluate(). Only the stratum to re-enter and, when the frame was cut
+  /// inside it, where it continues live here — the bulky state was
+  /// adopted into the members directly.
+  struct PendingResume {
+    int stratum = 0;
+    std::optional<StratumStart> start;
+  };
+
+  /// The stratum loop behind Evaluate() and EvaluateIncremental(). A
+  /// full run starts every stratum at round 0; `resume` re-enters the
+  /// fixpoint at its stratum, continuing it from the checkpointed round
+  /// when it has a start. A non-null `seed` (the completed run as round
+  /// 0, the change set as its delta) makes the pass incremental: only
+  /// the strata the seed reaches run, each continuing from the seed,
+  /// whose delta collects their growth for the strata above, and no
+  /// ID-relation is materialized.
+  Status RunStrata(TidAssigner* assigner, bool seminaive,
+                   PendingResume* resume, StratumStart* seed);
+
   /// Slot tables over the current relations (RelationSlots): by
   /// predicate the full and derived relations, by ID slot the
   /// ID-relations materialized so far; no deltas.
@@ -301,15 +295,6 @@ class EngineImpl {
   bool use_indexes_ = true;
   ProvenanceStore provenance_;
   CheckpointHook checkpoint_hook_;
-  /// Pending continuation from InstallResumeState; consumed by the next
-  /// Evaluate(). Only the frame coordinates and delta live here — the
-  /// bulky state was adopted into the members directly.
-  struct PendingResume {
-    std::map<std::string, Relation> delta;
-    int stratum = 0;
-    uint64_t round = 0;
-    bool in_stratum = false;
-  };
   std::unique_ptr<PendingResume> pending_resume_;
 };
 

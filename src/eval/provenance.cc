@@ -1,7 +1,5 @@
 #include "eval/provenance.h"
 
-#include <functional>
-#include <set>
 #include <utility>
 
 namespace idlog {
@@ -109,86 +107,6 @@ size_t ProvenanceStore::Absorb(ProvenanceStore* other) {
   }
   other->Clear();
   return bytes_ - before;
-}
-
-namespace {
-
-void ExplainRec(const ProvenanceStore& store, const SymbolTable& symbols,
-                const std::string& pred, const Tuple& tuple,
-                const std::function<bool(const std::string&,
-                                         const Tuple&)>& is_leaf,
-                int depth, int max_depth,
-                std::set<std::pair<std::string, Tuple>>* on_path,
-                std::string* out) {
-  std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  *out += indent + pred + TupleToString(tuple, symbols);
-
-  const Derivation* d = store.Lookup(pred, tuple);
-  if (d == nullptr) {
-    *out += is_leaf(pred, tuple) ? "   [database fact]\n"
-                                 : "   [underivable]\n";
-    return;
-  }
-  auto key = std::make_pair(pred, tuple);
-  if (on_path->count(key) > 0) {
-    *out += "   [cycle — already being explained]\n";
-    return;
-  }
-  if (depth >= max_depth) {
-    *out += "   [... depth limit]\n";
-    return;
-  }
-  *out += "   <= clause #" + std::to_string(d->clause_index) + "\n";
-  on_path->insert(key);
-  const Premise* premises = store.premises(*d);
-  for (uint32_t pi = 0; pi < d->premise_count; ++pi) {
-    const Premise& p = premises[pi];
-    std::string child_indent(static_cast<size_t>(depth + 1) * 2, ' ');
-    switch (p.kind) {
-      case Premise::Kind::kFact:
-        ExplainRec(store, symbols, p.predicate, p.tuple, is_leaf, depth + 1,
-                   max_depth, on_path, out);
-        break;
-      case Premise::Kind::kIdFact: {
-        *out += child_indent + p.predicate + "[";
-        for (size_t i = 0; i < p.group.size(); ++i) {
-          if (i > 0) *out += ",";
-          *out += std::to_string(p.group[i] + 1);
-        }
-        *out += "]" + TupleToString(p.tuple, symbols) + "   [tid choice]\n";
-        // The underlying tuple (without the tid) may itself be derived.
-        Tuple base(p.tuple.begin(), p.tuple.end() - 1);
-        if (store.Lookup(p.predicate, base) != nullptr) {
-          ExplainRec(store, symbols, p.predicate, base, is_leaf, depth + 2,
-                     max_depth, on_path, out);
-        }
-        break;
-      }
-      case Premise::Kind::kNegation:
-        *out += child_indent + "not " + p.predicate +
-                TupleToString(p.tuple, symbols) + "   [absent]\n";
-        break;
-      case Premise::Kind::kBuiltin:
-        *out += child_indent + p.builtin_text + "   [built-in]\n";
-        break;
-    }
-  }
-  on_path->erase(key);
-}
-
-}  // namespace
-
-std::string ExplainFact(const ProvenanceStore& store,
-                        const SymbolTable& symbols, const std::string& pred,
-                        const Tuple& tuple,
-                        const std::function<bool(const std::string&,
-                                                 const Tuple&)>& is_leaf,
-                        int max_depth) {
-  std::string out;
-  std::set<std::pair<std::string, Tuple>> on_path;
-  ExplainRec(store, symbols, pred, tuple, is_leaf, 0, max_depth, &on_path,
-             &out);
-  return out;
 }
 
 }  // namespace idlog

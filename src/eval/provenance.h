@@ -2,7 +2,6 @@
 #define IDLOG_EVAL_PROVENANCE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -156,18 +155,6 @@ class ProvenanceStore {
   std::unordered_map<Key, uint32_t, KeyHash> index_;
   size_t bytes_ = 0;
 };
-
-/// Renders a derivation tree for `pred(tuple)` as indented text. Leaves
-/// are annotated "[database fact]", "[tid choice]", "[absent]" or the
-/// built-in constraint; repeated subtrees and depth overruns are
-/// elided. Returns NotFound if the fact has no recorded derivation and
-/// is not marked as a leaf by the caller's `is_leaf` predicate.
-std::string ExplainFact(const ProvenanceStore& store,
-                        const SymbolTable& symbols, const std::string& pred,
-                        const Tuple& tuple,
-                        const std::function<bool(const std::string&,
-                                                 const Tuple&)>& is_leaf,
-                        int max_depth = 32);
 
 }  // namespace idlog
 

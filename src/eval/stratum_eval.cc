@@ -21,10 +21,8 @@ constexpr uint64_t kMinPartitionRows = 2;
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& ctx, RelationSlots slots,
-                       bool seminaive,
-                       StratumResume* resume,
-                       const RoundBoundaryHook& on_round,
-                       const std::set<std::string>* seed_preds) {
+                       bool seminaive, StratumStart* start,
+                       const RoundBoundaryHook& on_round) {
   // The delta stays keyed by name, as the round hook and resume frames
   // see it; after every swap the delta slots of this stratum's positive
   // scans (the only steps a task differentiates) are pointed at it,
@@ -41,41 +39,43 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       }
     }
   };
+  // The first round is round 0 unless the caller continues the stratum
+  // after a completed round: then the start's delta feeds the first
+  // differentiated round, whose filter also takes the start's extra
+  // predicates; later rounds differentiate only on this stratum's own
+  // growth.
+  bool round0 = start == nullptr;
   uint64_t round = 0;
-  const bool resuming = resume != nullptr;
-  if (resuming) {
-    // Continue at the checkpointed boundary: the saved round's delta
-    // feeds round+1's differentiated scans, and round 0 (all rules over
-    // full relations) already ran before the frame was cut.
-    replace_delta(std::move(resume->delta));
-    round = resume->round;
-  }
-  // An incremental seed widens the *first* differentiated round to the
-  // externally-changed predicates; afterwards only intra-stratum deltas
-  // exist and the filter narrows back to stratum_preds.
-  std::set<std::string> seed_filter;
-  bool first_seeded_round = resuming && seed_preds != nullptr;
-  if (first_seeded_round) {
-    seed_filter = stratum_preds;
-    seed_filter.insert(seed_preds->begin(), seed_preds->end());
+  const std::set<std::string>* filter = &stratum_preds;
+  std::set<std::string> first_filter;
+  if (start != nullptr) {
+    replace_delta(std::move(start->delta));
+    round = start->round + 1;
+    if (!start->extra_preds.empty()) {
+      first_filter = stratum_preds;
+      first_filter.insert(start->extra_preds.begin(),
+                          start->extra_preds.end());
+      filter = &first_filter;
+    }
   }
 
   // EXPLAIN ANALYZE: record this stratum's per-round delta sizes. The
   // series is a logical quantity (fixpoint contents are deterministic),
-  // so it is identical across --jobs settings.
+  // so it is identical across --jobs settings. A resumed or incremental
+  // pass extends the stratum's existing log.
   StratumRoundStats* round_log = nullptr;
   if (ctx.analyze != nullptr) {
-    // On resume this stratum's entry already exists (restored from the
-    // snapshot with the pre-checkpoint rounds); append to it rather
-    // than opening a duplicate.
-    if (resuming && !ctx.analyze->strata.empty() &&
-        ctx.analyze->strata.back().stratum == ctx.stratum) {
-      round_log = &ctx.analyze->strata.back();
-    } else {
-      ctx.analyze->strata.emplace_back();
-      ctx.analyze->strata.back().stratum = ctx.stratum;
-      round_log = &ctx.analyze->strata.back();
+    std::vector<StratumRoundStats>& logs = ctx.analyze->strata;
+    auto it = std::find_if(logs.begin(), logs.end(),
+                           [&ctx](const StratumRoundStats& log) {
+                             return log.stratum == ctx.stratum;
+                           });
+    if (it == logs.end()) {
+      logs.emplace_back();
+      logs.back().stratum = ctx.stratum;
+      it = logs.end() - 1;
     }
+    round_log = &*it;
   }
 
   // Fan-out of one (rule, delta_step) task. Only the heavy shape is
@@ -304,113 +304,58 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     return round_error;
   };
 
-  auto delta_total = [&delta]() {
-    uint64_t n = 0;
-    for (const auto& [pred, rel] : delta) {
-      (void)pred;
-      n += rel.size();
-    }
-    return n;
-  };
-
-  // Round 0: all rules over full relations. A resumed stratum skips it
-  // — it ran before the checkpoint frame was cut.
-  if (!resuming) {
-    TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
-    round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
-    round_span.AddArg(TraceArg::Num("round", round));
-    std::vector<RoundTask> tasks;
-    tasks.reserve(plans.size());
-    for (const RulePlan* plan : plans) {
-      RoundTask task;
-      task.plan = plan;
-      task.delta_step = -1;
-      tasks.push_back(std::move(task));
-    }
-    bool any = false;
-    std::map<std::string, Relation> next_delta;
-    FlightRecorder::Record(FlightEventKind::kRoundStart, "round0",
-                           ctx.stratum, static_cast<int64_t>(round),
-                           static_cast<int64_t>(tasks.size()));
-    IDLOG_RETURN_NOT_OK(
-        run_round(std::move(tasks), round, &any, &next_delta));
-    if (ctx.stats != nullptr) ++ctx.stats->iterations;
-    if (ctx.governor != nullptr) {
-      IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
-    }
-    replace_delta(std::move(next_delta));
-    if (round_log != nullptr) {
-      round_log->new_facts_per_round.push_back(delta_total());
-    }
-    if (FlightRecorder::Enabled()) {
-      FlightRecorder::Record(FlightEventKind::kRoundCommit, "round0",
-                             ctx.stratum, static_cast<int64_t>(round),
-                             static_cast<int64_t>(delta_total()));
-    }
-    if (ctx.trace != nullptr) {
-      round_span.AddArg(TraceArg::Num("new_facts", delta_total()));
-    }
-    if (on_round != nullptr) {
-      IDLOG_RETURN_NOT_OK(on_round(round, !any, delta));
-    }
-    if (!any) return Status::OK();
-  }
-
-  // Later rounds. The loop is unbounded by construction (it stops at
-  // the least fixpoint); the governor's iteration cap and deadline are
-  // what bound it when a program generates values forever.
-  while (true) {
-    ++round;
-    TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
-    round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
-    round_span.AddArg(TraceArg::Num("round", round));
-    const std::set<std::string>& round_filter =
-        first_seeded_round ? seed_filter : stratum_preds;
-    first_seeded_round = false;
+  // Round 0 runs every rule over the full relations. Later rounds
+  // differentiate each positive scan over a `filter` predicate; naive
+  // mode re-runs the recursive rules in full instead (rules with no
+  // intra-stratum dependency are complete after round 0).
+  auto round_tasks = [&]() {
     std::vector<RoundTask> tasks;
     for (const RulePlan* plan : plans) {
-      if (seminaive) {
-        for (int step : plan->positive_scan_steps) {
-          const std::string& pred =
-              plan->steps[static_cast<size_t>(step)].predicate;
-          if (round_filter.count(pred) == 0) continue;
-          RoundTask task;
-          task.plan = plan;
-          task.delta_step = step;
-          task.partitions = resolve_fanout(*plan, step);
-          tasks.push_back(std::move(task));
+      if (round0 || !seminaive) {
+        auto reads_stratum = [&](int step) {
+          return stratum_preds.count(
+                     plan->steps[static_cast<size_t>(step)].predicate) > 0;
+        };
+        if (!round0 && std::none_of(plan->positive_scan_steps.begin(),
+                                    plan->positive_scan_steps.end(),
+                                    reads_stratum)) {
+          continue;
         }
-      } else {
-        // Naive mode: re-run recursive rules in full. Rules with no
-        // intra-stratum dependency are complete after round 0.
-        bool recursive = false;
-        for (int step : plan->positive_scan_steps) {
-          if (stratum_preds.count(
-                  plan->steps[static_cast<size_t>(step)].predicate) > 0) {
-            recursive = true;
-            break;
-          }
-        }
-        if (!recursive) continue;
         RoundTask task;
         task.plan = plan;
         task.delta_step = -1;
         tasks.push_back(std::move(task));
+        continue;
+      }
+      for (int step : plan->positive_scan_steps) {
+        const std::string& pred =
+            plan->steps[static_cast<size_t>(step)].predicate;
+        if (filter->count(pred) == 0) continue;
+        RoundTask task;
+        task.plan = plan;
+        task.delta_step = step;
+        task.partitions = resolve_fanout(*plan, step);
+        tasks.push_back(std::move(task));
       }
     }
-    if (tasks.empty()) {
-      // No recursive rules: the stratum is complete without this round
-      // having run. The terminal hook call lets the checkpointer record
-      // the stratum as finished.
-      if (on_round != nullptr) {
-        IDLOG_RETURN_NOT_OK(on_round(round, /*fixpoint=*/true, delta));
-      }
-      return Status::OK();
-    }
+    return tasks;
+  };
+
+  // The loop is unbounded by construction (it stops at the least
+  // fixpoint); the governor's iteration cap and deadline are what bound
+  // it when a program generates values forever.
+  for (;; ++round) {
+    TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
+    round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
+    round_span.AddArg(TraceArg::Num("round", round));
+    std::vector<RoundTask> tasks = round_tasks();
+    // No rule left to run: the stratum is complete.
+    if (tasks.empty()) return Status::OK();
+    const char* kind = round0 ? "round0" : "delta";
     bool any = false;
     std::map<std::string, Relation> next_delta;
-    FlightRecorder::Record(FlightEventKind::kRoundStart, "delta",
-                           ctx.stratum, static_cast<int64_t>(round),
+    FlightRecorder::Record(FlightEventKind::kRoundStart, kind, ctx.stratum,
+                           static_cast<int64_t>(round),
                            static_cast<int64_t>(tasks.size()));
     IDLOG_RETURN_NOT_OK(
         run_round(std::move(tasks), round, &any, &next_delta));
@@ -419,21 +364,22 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
     }
     replace_delta(std::move(next_delta));
+    uint64_t new_facts = 0;
+    for (const auto& [pred, rel] : delta) {
+      (void)pred;
+      new_facts += rel.size();
+    }
     if (round_log != nullptr) {
-      round_log->new_facts_per_round.push_back(delta_total());
+      round_log->new_facts_per_round.push_back(new_facts);
     }
-    if (FlightRecorder::Enabled()) {
-      FlightRecorder::Record(FlightEventKind::kRoundCommit, "delta",
-                             ctx.stratum, static_cast<int64_t>(round),
-                             static_cast<int64_t>(delta_total()));
-    }
-    if (ctx.trace != nullptr) {
-      round_span.AddArg(TraceArg::Num("new_facts", delta_total()));
-    }
-    if (on_round != nullptr) {
-      IDLOG_RETURN_NOT_OK(on_round(round, !any, delta));
-    }
+    FlightRecorder::Record(FlightEventKind::kRoundCommit, kind, ctx.stratum,
+                           static_cast<int64_t>(round),
+                           static_cast<int64_t>(new_facts));
+    round_span.AddArg(TraceArg::Num("new_facts", new_facts));
     if (!any) return Status::OK();
+    if (on_round != nullptr) IDLOG_RETURN_NOT_OK(on_round(round, delta));
+    round0 = false;
+    filter = &stratum_preds;
   }
 }
 

@@ -15,26 +15,28 @@
 
 namespace idlog {
 
-/// Mid-stratum continuation state for checkpoint resume: the last
-/// committed round and its post-commit delta, exactly as a
-/// RoundBoundaryHook observed them. EvaluateStratum picks up at round
-/// `round + 1` and skips the round-0 full evaluation (it already ran
-/// before the frame was cut).
-struct StratumResume {
+/// Where EvaluateStratum picks a stratum up instead of at round 0: after
+/// round `round`, whose committed delta is `delta`. A checkpoint resume
+/// gives the frame's round and delta; an incremental pass gives the
+/// completed run as round 0 and the change set as its delta. The first
+/// differentiated round also scans the deltas of `extra_preds` —
+/// predicates changed outside this stratum, which the stratum's own
+/// filter never touches; later rounds narrow back to the stratum's own
+/// predicates.
+struct StratumStart {
   uint64_t round = 0;
   std::map<std::string, Relation> delta;
+  std::set<std::string> extra_preds;
 };
 
-/// Called at every round boundary — after Commit() moved the round's
-/// new facts into the full relations and the delta was swapped — the
-/// one point where derived relations, deltas and stats are mutually
-/// consistent and a checkpoint frame can be cut. `fixpoint` is true on
-/// the call that ends the stratum (no new facts, or no recursive rules
-/// left to run). A non-OK return aborts the evaluation (a checkpoint
+/// Called at every round boundary inside a stratum — after Commit() moved
+/// the round's new facts into the full relations and the delta was
+/// swapped, when another round follows — the one point where derived
+/// relations, deltas and stats are mutually consistent and a checkpoint
+/// frame can be cut. A non-OK return aborts the evaluation (a checkpoint
 /// that cannot be written is an error the caller must see).
 using RoundBoundaryHook = std::function<Status(
-    uint64_t round, bool fixpoint,
-    const std::map<std::string, Relation>& delta)>;
+    uint64_t round, const std::map<std::string, Relation>& delta)>;
 
 /// Evaluates one stratum to its least fixpoint.
 ///
@@ -47,28 +49,15 @@ using RoundBoundaryHook = std::function<Status(
 /// ablation baseline of bench E4); otherwise rounds after the first use
 /// delta differentiation on intra-stratum positive scans.
 ///
-/// `resume`, when set, continues a checkpointed fixpoint instead of
-/// starting at round 0 (the caller must have restored the derived
-/// relations to the matching round boundary); it is consumed (the delta
-/// is moved out).
-/// `on_round`, when set, observes every round boundary.
-///
-/// `seed_preds`, when set (requires `resume` and semi-naive mode),
-/// marks the resume delta as an *incremental seed*: predicates changed
-/// outside this stratum (EDB insertions, lower-stratum growth) rather
-/// than a checkpointed intra-stratum delta. The first differentiated
-/// round then also creates tasks for positive scans over those
-/// predicates — they are not in `stratum_preds`, so the normal filter
-/// would never touch their deltas — and later rounds narrow back to the
-/// intra-stratum filter (external predicates are complete; only this
-/// stratum's own growth keeps propagating).
+/// The first round is round 0 (every rule over the full relations)
+/// unless `start` is set; its delta is consumed (moved out).
+/// `on_round`, when set, observes every round boundary inside the
+/// stratum.
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& ctx, RelationSlots slots,
-                       bool seminaive,
-                       StratumResume* resume = nullptr,
-                       const RoundBoundaryHook& on_round = nullptr,
-                       const std::set<std::string>* seed_preds = nullptr);
+                       bool seminaive, StratumStart* start = nullptr,
+                       const RoundBoundaryHook& on_round = nullptr);
 
 }  // namespace idlog
 

@@ -58,8 +58,9 @@ struct ProofTree {
 };
 
 /// Builds a bounded, cycle-safe proof tree for `pred(tuple)` from the
-/// recorded derivations. `is_leaf` marks stored database facts (same
-/// contract as ExplainFact).
+/// recorded derivations. `is_leaf` marks stored database facts: a fact
+/// with no recorded derivation is a "[database fact]" leaf if it holds,
+/// else "[underivable]".
 ProofTree BuildProofTree(const ProvenanceStore& store,
                          const SymbolTable& symbols, const std::string& pred,
                          const Tuple& tuple,

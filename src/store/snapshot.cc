@@ -339,9 +339,9 @@ Status ExpectConsumed(const Reader& r) {
 Status CheckInvariants(const SnapshotData& snap) {
   // Delta tuples were committed: each must already be present in its
   // derived relation (Commit inserts into the full relation first).
-  for (const auto& [pred, delta_rel] : snap.delta) {
-    auto it = snap.derived.find(pred);
-    if (it == snap.derived.end()) {
+  for (const auto& [pred, delta_rel] : snap.eval.delta) {
+    auto it = snap.eval.derived.find(pred);
+    if (it == snap.eval.derived.end()) {
       return Status::InvalidArgument(
           "snapshot fails invariant: delta relation '" + pred +
           "' has no derived relation");
@@ -357,11 +357,11 @@ Status CheckInvariants(const SnapshotData& snap) {
   // ID-relation tuples project (tid removed) onto their base relation.
   // The materialization may be a prefix (tid-bound pushdown), so subset
   // is the right check, not equality.
-  for (const auto& [key, id_rel] : snap.id_relations) {
+  for (const auto& [key, id_rel] : snap.eval.id_relations) {
     const std::string& pred = key.first;
     const Relation* base = nullptr;
-    auto derived_it = snap.derived.find(pred);
-    if (derived_it != snap.derived.end()) {
+    auto derived_it = snap.eval.derived.find(pred);
+    if (derived_it != snap.eval.derived.end()) {
       base = &derived_it->second;
     } else {
       for (const auto& named : snap.edb) {
@@ -673,14 +673,14 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         IDLOG_RETURN_NOT_OK(r.U8(&flag));
         snap.config.use_indexes = flag != 0;
         IDLOG_RETURN_NOT_OK(r.U8(&flag));
-        snap.progress.completed = flag != 0;
+        snap.eval.frame.completed = flag != 0;
         int32_t stratum = 0;
         IDLOG_RETURN_NOT_OK(r.I32(&stratum));
-        snap.progress.stratum = stratum;
-        IDLOG_RETURN_NOT_OK(r.U64(&snap.progress.round));
+        snap.eval.frame.stratum = stratum;
+        IDLOG_RETURN_NOT_OK(r.U64(&snap.eval.frame.round));
         IDLOG_RETURN_NOT_OK(r.U8(&flag));
-        snap.progress.in_stratum = flag != 0;
-        IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.stats));
+        snap.eval.frame.in_stratum = flag != 0;
+        IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.eval.stats));
         IDLOG_RETURN_NOT_OK(r.Str(&snap.config.assigner_kind));
         IDLOG_RETURN_NOT_OK(r.Str(&snap.config.assigner_state));
         break;
@@ -727,7 +727,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
       case kSectionDerived:
       case kSectionDelta: {
         auto* target =
-            tag == kSectionDerived ? &snap.derived : &snap.delta;
+            tag == kSectionDerived ? &snap.eval.derived : &snap.eval.delta;
         uint32_t nrel = 0;
         IDLOG_RETURN_NOT_OK(r.U32(&nrel));
         for (uint32_t i = 0; i < nrel; ++i) {
@@ -760,7 +760,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           Relation rel;
           IDLOG_RETURN_NOT_OK(
               ReadRelation(&r, snap.symbols.size(), with_counters, &rel));
-          snap.id_relations.emplace(
+          snap.eval.id_relations.emplace(
               std::make_pair(std::move(pred), std::move(group)),
               std::move(rel));
         }
@@ -769,18 +769,18 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
       case kSectionAnalysis: {
         uint8_t present = 0;
         IDLOG_RETURN_NOT_OK(r.U8(&present));
-        snap.has_analysis = present != 0;
-        if (snap.has_analysis) {
+        snap.eval.has_analysis = present != 0;
+        if (snap.eval.has_analysis) {
           uint32_t nrules = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nrules));
           IDLOG_RETURN_NOT_OK(r.Fits(nrules, 4));  // u32 step count
-          snap.analysis.rules.resize(nrules);
+          snap.eval.analysis.rules.resize(nrules);
           for (uint32_t i = 0; i < nrules; ++i) {
             uint32_t nsteps = 0;
             IDLOG_RETURN_NOT_OK(r.U32(&nsteps));
             IDLOG_RETURN_NOT_OK(r.Fits(nsteps, 6 * 8));  // six u64
-            snap.analysis.rules[i].steps.resize(nsteps);
-            for (StepCounters& c : snap.analysis.rules[i].steps) {
+            snap.eval.analysis.rules[i].steps.resize(nsteps);
+            for (StepCounters& c : snap.eval.analysis.rules[i].steps) {
               IDLOG_RETURN_NOT_OK(r.U64(&c.rows_in));
               IDLOG_RETURN_NOT_OK(r.U64(&c.rows_scanned));
               IDLOG_RETURN_NOT_OK(r.U64(&c.index_probes));
@@ -792,8 +792,8 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           uint32_t nstrata = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nstrata));
           IDLOG_RETURN_NOT_OK(r.Fits(nstrata, 4 + 8));  // i32, u64
-          snap.analysis.strata.resize(nstrata);
-          for (StratumRoundStats& s : snap.analysis.strata) {
+          snap.eval.analysis.strata.resize(nstrata);
+          for (StratumRoundStats& s : snap.eval.analysis.strata) {
             IDLOG_RETURN_NOT_OK(r.I32(&s.stratum));
             uint64_t nrounds = 0;
             IDLOG_RETURN_NOT_OK(r.U64(&nrounds));
@@ -809,14 +809,14 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
       case kSectionProfile: {
         uint8_t present = 0;
         IDLOG_RETURN_NOT_OK(r.U8(&present));
-        snap.has_profile = present != 0;
-        if (snap.has_profile) {
+        snap.eval.has_profile = present != 0;
+        if (snap.eval.has_profile) {
           uint32_t nrules = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nrules));
           // Two i32, two strings (u32 length each) and six u64.
           IDLOG_RETURN_NOT_OK(r.Fits(nrules, 2 * 4 + 2 * 4 + 6 * 8));
-          snap.profile.rules.resize(nrules);
-          for (RuleProfile& rp : snap.profile.rules) {
+          snap.eval.profile.rules.resize(nrules);
+          for (RuleProfile& rp : snap.eval.profile.rules) {
             IDLOG_RETURN_NOT_OK(r.I32(&rp.clause_index));
             IDLOG_RETURN_NOT_OK(r.Str(&rp.head_pred));
             IDLOG_RETURN_NOT_OK(r.Str(&rp.rule));
@@ -831,23 +831,23 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           uint32_t nstrata = 0;
           IDLOG_RETURN_NOT_OK(r.U32(&nstrata));
           IDLOG_RETURN_NOT_OK(r.Fits(nstrata, 4 + 3 * 8));  // i32, 3 u64
-          snap.profile.strata.resize(nstrata);
-          for (StratumProfile& sp : snap.profile.strata) {
+          snap.eval.profile.strata.resize(nstrata);
+          for (StratumProfile& sp : snap.eval.profile.strata) {
             IDLOG_RETURN_NOT_OK(r.I32(&sp.index));
             IDLOG_RETURN_NOT_OK(r.U64(&sp.rules));
             IDLOG_RETURN_NOT_OK(r.U64(&sp.rounds));
             IDLOG_RETURN_NOT_OK(r.U64(&sp.wall_ns));
           }
-          IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.profile.totals));
-          IDLOG_RETURN_NOT_OK(r.U64(&snap.profile.wall_ns));
+          IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.eval.profile.totals));
+          IDLOG_RETURN_NOT_OK(r.U64(&snap.eval.profile.wall_ns));
         }
         break;
       }
       case kSectionDeriv: {
         uint8_t present = 0;
         IDLOG_RETURN_NOT_OK(r.U8(&present));
-        snap.has_provenance = present != 0;
-        if (snap.has_provenance) {
+        snap.eval.has_provenance = present != 0;
+        if (snap.eval.has_provenance) {
           uint64_t npreds = 0;
           IDLOG_RETURN_NOT_OK(r.U64(&npreds));
           // Re-intern the table in file order: ids 0..n-1 come back
@@ -856,7 +856,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           for (uint64_t i = 0; i < npreds; ++i) {
             std::string name;
             IDLOG_RETURN_NOT_OK(r.Str(&name));
-            if (snap.provenance.InternPredicate(name) != i) {
+            if (snap.eval.provenance.InternPredicate(name) != i) {
               return Status::InvalidArgument(
                   "snapshot corrupt: DERIV predicate table repeats '" +
                   name + "'");
@@ -915,7 +915,7 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
             }
             // Replaying Record in node order reproduces the original
             // arena layout exactly.
-            snap.provenance.Record(
+            snap.eval.provenance.Record(
                 static_cast<ProvenanceStore::PredId>(pred_id), tuple,
                 clause_index, std::move(premises));
           }

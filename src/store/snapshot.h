@@ -13,6 +13,7 @@
 #include "common/value.h"
 #include "eval/eval_stats.h"
 #include "eval/provenance.h"
+#include "eval/resume_state.h"
 #include "obs/explain.h"
 #include "obs/profile.h"
 #include "storage/database.h"
@@ -71,16 +72,6 @@ struct SnapshotWalPosition {
   uint64_t commits = 0;  ///< Committed transactions folded into the state.
 };
 
-/// Where in the stratified fixpoint the snapshot was taken. Frames are
-/// only ever cut at round boundaries (after a round's Commit), the one
-/// point where derived relations, deltas and stats are all consistent.
-struct SnapshotProgress {
-  bool completed = false;  ///< The run finished; nothing left to resume.
-  int stratum = 0;         ///< Stratum to (re-)enter on resume.
-  uint64_t round = 0;      ///< Last committed round within it.
-  bool in_stratum = false; ///< True: resume mid-stratum with `delta`.
-};
-
 /// Borrowed engine state to serialize (the engine's own maps; nothing
 /// is copied). Null observability pointers serialize as absent.
 struct SnapshotView {
@@ -95,7 +86,10 @@ struct SnapshotView {
   const EvalProfile* profile = nullptr;    ///< May be null.
   const ProvenanceStore* provenance = nullptr;  ///< May be null.
   SnapshotConfig config;
-  SnapshotProgress progress;
+  /// Where in the stratified fixpoint the snapshot was taken: always a
+  /// round boundary (after a round's Commit), the one point where
+  /// derived relations, deltas and stats are all consistent.
+  FixpointFrame progress;
   SnapshotWalPosition wal_pos;
 };
 
@@ -109,18 +103,8 @@ struct SnapshotData {
   SymbolTable symbols;
   std::vector<NamedRelation> edb;      ///< In database creation order.
   std::vector<SymbolId> u_domain;      ///< Includes tuple-less extras.
-  std::map<std::string, Relation> derived;
-  std::map<std::pair<std::string, std::vector<int>>, Relation> id_relations;
-  std::map<std::string, Relation> delta;
-  EvalStats stats;
-  bool has_analysis = false;
-  PlanAnalysis analysis;
-  bool has_profile = false;
-  EvalProfile profile;
-  bool has_provenance = false;
-  ProvenanceStore provenance;
+  EvalResumeState eval;  ///< Derived state and the frame it was cut at.
   SnapshotConfig config;
-  SnapshotProgress progress;
   SnapshotWalPosition wal_pos;
 };
 

@@ -1,9 +1,10 @@
 // Checkpoint/resume equivalence: a run interrupted by a governor trip
 // and resumed from its round-boundary snapshot must be indistinguishable
 // from a run that never stopped — same answers, same logical EvalStats,
-// same EXPLAIN ANALYZE document, same tid choices under a random
-// assigner — across the randomized corpus and at every --jobs setting
-// (thread count is physical and may differ between save and resume).
+// same EXPLAIN ANALYZE document and profile counters, same tid choices
+// under a random assigner — across the randomized corpus and at every
+// --jobs setting (thread count is physical and may differ between save
+// and resume).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -57,7 +58,29 @@ struct Observed {
   std::string answers;
   EvalStats stats;
   std::string explain_json;
+  std::string profile;  ///< The profile's logical columns.
 };
+
+/// The profile without its timing columns: per stratum its index, rules
+/// and rounds; per rule its evals, firings, considered, derived and
+/// inserted counts.
+std::string LogicalProfile(const EvalProfile& profile) {
+  std::string out;
+  for (const StratumProfile& sp : profile.strata) {
+    out += "stratum " + std::to_string(sp.index) + " rules " +
+           std::to_string(sp.rules) + " rounds " +
+           std::to_string(sp.rounds) + "\n";
+  }
+  for (const RuleProfile& rp : profile.rules) {
+    out += "rule " + std::to_string(rp.clause_index) + " evals " +
+           std::to_string(rp.evals) + " firings " +
+           std::to_string(rp.firings) + " considered " +
+           std::to_string(rp.tuples_considered) + " derived " +
+           std::to_string(rp.facts_derived) + " inserted " +
+           std::to_string(rp.facts_inserted) + "\n";
+  }
+  return out;
+}
 
 Observed Observe(IdlogEngine* engine,
                  const std::vector<std::string>& queries) {
@@ -73,6 +96,7 @@ Observed Observe(IdlogEngine* engine,
   auto doc = engine->ExplainPlanJson(/*analyze=*/true);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   if (doc.ok()) out.explain_json = *doc;
+  out.profile = LogicalProfile(engine->profile());
   return out;
 }
 
@@ -111,6 +135,7 @@ void ExpectResumeMatchesFullRun(
   SeedEdb(&full, edb);
   full.SetThreads(full_jobs);
   full.EnableExplain(true);
+  full.EnableProfiling(true);
   ASSERT_TRUE(full.LoadProgramText(program).ok());
   ASSERT_TRUE(full.Run().ok());
   Observed expected = Observe(&full, queries);
@@ -119,6 +144,7 @@ void ExpectResumeMatchesFullRun(
   SeedEdb(&tripper, edb);
   tripper.SetThreads(trip_jobs);
   tripper.EnableExplain(true);
+  tripper.EnableProfiling(true);
   ASSERT_TRUE(tripper.LoadProgramText(program).ok());
   EvalLimits limits;
   limits.max_iterations = trip_iterations;
@@ -132,6 +158,7 @@ void ExpectResumeMatchesFullRun(
   IdlogEngine resumed;
   resumed.SetThreads(resume_jobs);
   resumed.EnableExplain(true);
+  resumed.EnableProfiling(true);
   ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap_path).ok());
   ASSERT_TRUE(resumed.LoadProgramText(program).ok());
   ASSERT_TRUE(resumed.Run().ok());
@@ -140,8 +167,11 @@ void ExpectResumeMatchesFullRun(
   EXPECT_EQ(actual.answers, expected.answers);
   ExpectSameLogicalStats(expected.stats, actual.stats);
   // The EXPLAIN ANALYZE document carries only logical counters, so a
-  // resumed run must reproduce it byte for byte.
+  // resumed run must reproduce it byte for byte; so must the profile's
+  // logical columns, including the rows of strata finished before the
+  // frame was cut.
   EXPECT_EQ(actual.explain_json, expected.explain_json);
+  EXPECT_EQ(actual.profile, expected.profile);
 }
 
 // --------------------------------------------------------------------

@@ -134,8 +134,7 @@ TEST(CliUsage, WhyFlagsExist) {
   std::string source = ReadCliSource();
   ASSERT_FALSE(source.empty());
   std::set<std::string> parser = ParserFlags(source);
-  for (const char* flag : {"--explain", "--why", "--why-not",
-                           "--why-json"}) {
+  for (const char* flag : {"--why", "--why-not", "--why-json"}) {
     EXPECT_TRUE(parser.count(flag) > 0)
         << flag << " is no longer accepted by the batch-mode parser";
   }

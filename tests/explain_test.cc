@@ -7,6 +7,9 @@
 // only logical counters and is byte-identical across --jobs settings.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -116,19 +119,16 @@ TEST(ExplainPlan, EngineRewriteLogIsRenderedWithThePlan) {
 // --------------------------------------------------------------------
 // EXPLAIN ANALYZE counters and the profile sum invariant.
 
-TEST(ExplainAnalyze, CountersReconcileWithProfile) {
-  IdlogEngine engine;
-  engine.EnableExplain(true);
-  engine.EnableProfiling(true);
-  LoadCompany(&engine);
-  ASSERT_TRUE(engine.Run().ok());
-
+// The ANALYZE counters of everything `engine` evaluated so far
+// reconcile with its profile and its totals.
+void ExpectCountersReconcile(const IdlogEngine& engine) {
   const PlanAnalysis& analysis = engine.plan_analysis();
   const EvalProfile& profile = engine.profile();
   ASSERT_EQ(analysis.rules.size(), profile.rules.size());
   ASSERT_FALSE(analysis.rules.empty());
 
   uint64_t total_probes = 0;
+  uint64_t total_emitted = 0;
   for (size_t i = 0; i < analysis.rules.size(); ++i) {
     const std::vector<StepCounters>& steps = analysis.rules[i].steps;
     const RuleProfile& rp = profile.rules[i];
@@ -144,17 +144,71 @@ TEST(ExplainAnalyze, CountersReconcileWithProfile) {
       EXPECT_LE(sc.rows_emitted, sc.rows_scanned + sc.rows_in);
       total_probes += sc.index_probes;
     }
+    total_emitted += steps.back().rows_emitted;
   }
   EXPECT_EQ(total_probes, engine.stats().index_probes);
+  EXPECT_EQ(total_emitted, engine.stats().facts_inserted);
 
   // Every stratum reports its per-round delta sizes, ending at the
-  // fixpoint (strata evaluated in parallel batches still log rounds).
+  // fixpoint (strata evaluated in parallel batches still log rounds),
+  // and the logs hold every round the engine ran.
   ASSERT_FALSE(analysis.strata.empty());
   uint64_t rounds = 0;
   for (const StratumRoundStats& s : analysis.strata) {
     rounds += s.new_facts_per_round.size();
   }
   EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(rounds, engine.stats().iterations);
+}
+
+TEST(ExplainAnalyze, CountersReconcileWithProfile) {
+  IdlogEngine engine;
+  engine.EnableExplain(true);
+  engine.EnableProfiling(true);
+  LoadCompany(&engine);
+  ASSERT_TRUE(engine.Run().ok());
+  ExpectCountersReconcile(engine);
+}
+
+// Incremental insert commits count like any other pass: EXPLAIN ANALYZE
+// keeps reconciling with the profile and the totals, which accumulate
+// across the commits.
+TEST(ExplainAnalyze, IncrementalCommitsKeepCountersReconciled) {
+  const std::string wal =
+      (std::filesystem::temp_directory_path() /
+       ("idlog_explain_test_" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  IdlogEngine engine;
+  engine.EnableExplain(true);
+  engine.EnableProfiling(true);
+  for (int i = 0; i < 11; ++i) {
+    ASSERT_TRUE(engine
+                    .AddRow("edge", {"a" + std::to_string(i),
+                                     "a" + std::to_string(i + 1)})
+                    .ok());
+  }
+  ASSERT_TRUE(engine
+                  .LoadProgramText("path(X, Y) :- edge(X, Y)."
+                                   "path(X, Y) :- edge(X, Z), path(Z, Y).")
+                  .ok());
+  ASSERT_TRUE(engine.AttachWal(wal).ok());
+  const uint64_t full_rounds = engine.stats().iterations;
+  std::string prev = "a0";
+  for (int i = 0; i < 5; ++i) {
+    const std::string node = "z" + std::to_string(i);
+    ASSERT_TRUE(engine.Begin().ok());
+    ASSERT_TRUE(engine
+                    .Insert("edge",
+                            testing_util::T(&engine.symbols(), {node, prev}))
+                    .ok());
+    ASSERT_TRUE(engine.Commit().ok());
+    ASSERT_TRUE(engine.last_commit_incremental());
+    prev = node;
+  }
+  EXPECT_GT(engine.stats().iterations, full_rounds);
+  ExpectCountersReconcile(engine);
+  std::filesystem::remove(wal);
+  std::filesystem::remove(wal + ".snap");
 }
 
 TEST(ExplainAnalyze, DisabledLeavesNoAnalysisAndCountsNothing) {

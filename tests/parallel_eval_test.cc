@@ -427,10 +427,9 @@ TEST(ParallelEval, ProvenanceRecordsUnderWorkerPool) {
             parallel.stats().provenance_premises);
   EXPECT_EQ(serial.stats().provenance_bytes,
             parallel.stats().provenance_bytes);
-  auto st = serial.Explain("p", testing_util::T(&serial.symbols(),
-                                                {"a", "d"}));
-  auto pt = parallel.Explain("p", testing_util::T(&parallel.symbols(),
-                                                  {"a", "d"}));
+  auto st = serial.Why("p", testing_util::T(&serial.symbols(), {"a", "d"}));
+  auto pt =
+      parallel.Why("p", testing_util::T(&parallel.symbols(), {"a", "d"}));
   ASSERT_TRUE(st.ok()) << st.status().ToString();
   ASSERT_TRUE(pt.ok()) << pt.status().ToString();
   EXPECT_EQ(*st, *pt);

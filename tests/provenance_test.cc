@@ -49,7 +49,7 @@ TEST(Provenance, ExplainBaseFactViaRule) {
   engine.EnableProvenance(true);
   ASSERT_TRUE(engine.AddRow("edge", {"a", "b"}).ok());
   ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- edge(X, Y).").ok());
-  auto text = engine.Explain("p", T(&engine.symbols(), {"a", "b"}));
+  auto text = engine.Why("p", T(&engine.symbols(), {"a", "b"}));
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("p(a, b)"), std::string::npos) << *text;
   EXPECT_NE(text->find("clause #0"), std::string::npos) << *text;
@@ -68,7 +68,7 @@ TEST(Provenance, RecursiveDerivationChains) {
                       "path(X, Y) :- edge(X, Y)."
                       "path(X, Z) :- path(X, Y), edge(Y, Z).")
                   .ok());
-  auto text = engine.Explain("path", T(&engine.symbols(), {"a", "d"}));
+  auto text = engine.Why("path", T(&engine.symbols(), {"a", "d"}));
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   // The chain unwinds down to base edges.
   EXPECT_NE(text->find("path(a, d)"), std::string::npos);
@@ -87,7 +87,7 @@ TEST(Provenance, TidChoicesAppearAsLeaves) {
   auto rep = engine.Query("rep");
   ASSERT_TRUE(rep.ok());
   ASSERT_EQ((*rep)->size(), 1u);
-  auto text = engine.Explain("rep", (*rep)->tuples()[0]);
+  auto text = engine.Why("rep", (*rep)->tuples()[0]);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("[tid choice]"), std::string::npos) << *text;
   EXPECT_NE(text->find("emp[2]"), std::string::npos) << *text;
@@ -100,7 +100,7 @@ TEST(Provenance, NegationAndBuiltinsAnnotated) {
   ASSERT_TRUE(
       engine.LoadProgramText(
           "q(X, M) :- v(X, N), M = N + 1, not blocked(X).").ok());
-  auto text = engine.Explain("q", T(&engine.symbols(), {"x", "4"}));
+  auto text = engine.Why("q", T(&engine.symbols(), {"x", "4"}));
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("[built-in]"), std::string::npos) << *text;
   EXPECT_NE(text->find("+(3, 1, 4)"), std::string::npos) << *text;
@@ -112,7 +112,7 @@ TEST(Provenance, DisabledByDefault) {
   IdlogEngine engine;
   ASSERT_TRUE(engine.AddRow("e", {"a"}).ok());
   ASSERT_TRUE(engine.LoadProgramText("q(X) :- e(X).").ok());
-  auto text = engine.Explain("q", T(&engine.symbols(), {"a"}));
+  auto text = engine.Why("q", T(&engine.symbols(), {"a"}));
   EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -121,7 +121,7 @@ TEST(Provenance, MissingFactIsNotFound) {
   engine.EnableProvenance(true);
   ASSERT_TRUE(engine.AddRow("e", {"a"}).ok());
   ASSERT_TRUE(engine.LoadProgramText("q(X) :- e(X).").ok());
-  auto text = engine.Explain("q", T(&engine.symbols(), {"zzz"}));
+  auto text = engine.Why("q", T(&engine.symbols(), {"zzz"}));
   EXPECT_EQ(text.status().code(), StatusCode::kNotFound);
 }
 
@@ -141,7 +141,7 @@ TEST(Provenance, DerivedIdBaseExpandsFurther) {
   auto picked = engine.Query("picked");
   ASSERT_TRUE(picked.ok());
   ASSERT_EQ((*picked)->size(), 1u);
-  auto text = engine.Explain("picked", (*picked)->tuples()[0]);
+  auto text = engine.Why("picked", (*picked)->tuples()[0]);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("[tid choice]"), std::string::npos) << *text;
   // The guess fact itself is explained via its clause and person(a).
@@ -162,7 +162,7 @@ TEST(Provenance, EveryDerivedFactIsExplainable) {
   auto path = engine.Query("path");
   ASSERT_TRUE(path.ok());
   for (const Tuple& t : (*path)->tuples()) {
-    auto text = engine.Explain("path", t);
+    auto text = engine.Why("path", t);
     ASSERT_TRUE(text.ok()) << text.status().ToString();
     EXPECT_EQ(text->find("[underivable]"), std::string::npos) << *text;
   }

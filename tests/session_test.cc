@@ -1,6 +1,7 @@
 // Durable update sessions: Begin/Insert/Retract/Commit/Abort semantics,
 // incremental re-derivation of committed insertions (asserted via round
-// counters on a transitive-closure workload), the full-re-run fallbacks
+// counters on a transitive-closure workload, and against fresh runs over
+// the randomized corpus), per-commit budgets, the full-re-run fallbacks
 // (retraction, negation, ID-relations, naive mode), and the protocol
 // errors the session API refuses.
 #include <gtest/gtest.h>
@@ -8,7 +9,9 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -148,6 +151,52 @@ TEST(Session, InsertCommitExtendsTheModelIncrementally) {
   ASSERT_TRUE(engine.Commit().ok());
   EXPECT_EQ(engine.stats().iterations, before);
   EXPECT_EQ(engine.wal_commits(), 2u);
+}
+
+// Budgets bound each pass: an insert commit runs under a fresh deadline
+// and iteration cap, as a retraction's full re-run always did, so a cap
+// that fits the initial run and each commit — but not their sum — never
+// trips. The tuple and memory budgets still see the whole model: the
+// totals.memory_bytes gauge matches a fresh run over the same EDB.
+TEST(Session, EachInsertCommitGetsFreshPassBudgets) {
+  ScratchDir scratch("budgets");
+  constexpr int kChain = 11;
+  EvalLimits limits;
+  limits.max_iterations = 20;
+
+  IdlogEngine engine;
+  AddChain(&engine, kChain);
+  engine.SetLimits(limits);
+  ASSERT_TRUE(engine.LoadProgramText(kTcProgram).ok());
+  ASSERT_TRUE(engine.AttachWal(scratch.Path("s.wal")).ok());
+  std::string prev = "a0";
+  for (int i = 0; i < 5; ++i) {
+    const std::string node = "z" + std::to_string(i);
+    ASSERT_TRUE(engine.Begin().ok());
+    ASSERT_TRUE(
+        engine.Insert("edge", T(&engine.symbols(), {node, prev})).ok());
+    Status st = engine.Commit();
+    ASSERT_TRUE(st.ok()) << "commit " << i << ": " << st.ToString();
+    EXPECT_TRUE(engine.last_commit_incremental()) << "commit " << i;
+    prev = node;
+  }
+  EXPECT_GT(engine.stats().iterations, limits.max_iterations)
+      << "the commits together must exceed one pass's budget";
+
+  IdlogEngine fresh;
+  AddChain(&fresh, kChain);
+  prev = "a0";
+  for (int i = 0; i < 5; ++i) {
+    const std::string node = "z" + std::to_string(i);
+    ASSERT_TRUE(fresh.AddRow("edge", {node, prev}).ok());
+    prev = node;
+  }
+  fresh.SetLimits(limits);
+  ASSERT_TRUE(fresh.LoadProgramText(kTcProgram).ok());
+  EXPECT_EQ(QueryDump(&engine, "path"), QueryDump(&fresh, "path"));
+  // The totals.memory_bytes gauge.
+  EXPECT_EQ(engine.governor().memory_charged(),
+            fresh.governor().memory_charged());
 }
 
 TEST(Session, MultiFactCommitAndNewPredicates) {
@@ -516,6 +565,79 @@ TEST(Session, ConflictingFirstInsertIsRefusedBeforeTheLog) {
   st = fresh.CompleteRecovery();
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(QueryDump(&fresh, "low"), live);
+}
+
+// Differential oracle for incremental insert commits over the 40-seed
+// corpus: each program takes eight random insert transactions through a
+// durable session, and after every commit each query predicate must
+// equal a fresh engine's evaluation of the same EDB, with VerifyModel
+// holding. Commits the engine cannot extend monotonically (negation or
+// ID-literals over the change) fall back to a full run; the share that
+// went incremental is reported.
+TEST(SessionCorpus, InsertCommitsMatchAFreshRun) {
+  constexpr int kSeeds = 40;
+  constexpr int kCommits = 8;
+  int incremental = 0;
+  int seeds_incremental = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("corpus seed " + std::to_string(seed));
+    testing_util::CorpusGenerator gen(static_cast<uint64_t>(seed));
+    const std::string program = gen.Generate();
+    std::vector<std::vector<std::string>> edb =
+        testing_util::CorpusEdb(static_cast<uint64_t>(seed));
+    ScratchDir scratch("corpus" + std::to_string(seed));
+
+    IdlogEngine engine;
+    for (const auto& row : edb) {
+      ASSERT_TRUE(
+          engine.AddRow(row[0], {row.begin() + 1, row.end()}).ok());
+    }
+    ASSERT_TRUE(engine.LoadProgramText(program).ok());
+    ASSERT_TRUE(engine.AttachWal(scratch.Path("s.wal")).ok());
+
+    std::mt19937_64 rng(static_cast<uint64_t>(seed) * 131 + 17);
+    auto constant = [&rng]() { return "c" + std::to_string(rng() % 9); };
+    bool any_incremental = false;
+    for (int c = 0; c < kCommits; ++c) {
+      SCOPED_TRACE("commit " + std::to_string(c));
+      ASSERT_TRUE(engine.Begin().ok());
+      const int rows = 1 + static_cast<int>(rng() % 3);
+      for (int r = 0; r < rows; ++r) {
+        std::vector<std::string> row = {"e1", constant()};
+        if (rng() % 2 == 0) row = {"e0", constant(), constant()};
+        ASSERT_TRUE(engine
+                        .Insert(row[0], T(&engine.symbols(),
+                                          {row.begin() + 1, row.end()}))
+                        .ok());
+        edb.push_back(std::move(row));
+      }
+      Status st = engine.Commit();
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      if (engine.last_commit_incremental()) {
+        ++incremental;
+        any_incremental = true;
+      }
+
+      IdlogEngine fresh;
+      for (const auto& row : edb) {
+        ASSERT_TRUE(
+            fresh.AddRow(row[0], {row.begin() + 1, row.end()}).ok());
+      }
+      ASSERT_TRUE(fresh.LoadProgramText(program).ok());
+      for (const std::string& q : gen.queries()) {
+        EXPECT_EQ(QueryDump(&engine, q), QueryDump(&fresh, q)) << q;
+      }
+      auto verified = engine.VerifyModel();
+      ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+      EXPECT_TRUE(*verified);
+    }
+    if (any_incremental) ++seeds_incremental;
+  }
+  std::printf("[ oracle   ] %d of %d commits went incremental, across %d "
+              "of %d seeds\n",
+              incremental, kSeeds * kCommits, seeds_incremental, kSeeds);
+  RecordProperty("incremental_commits", incremental);
+  EXPECT_GT(incremental, 0) << "no commit exercised the incremental path";
 }
 
 }  // namespace

@@ -110,13 +110,13 @@ TEST(Snapshot, CompletedRunRoundTrips) {
   // The file parses and its sections carry what was saved.
   auto data = LoadSnapshotFile(snap);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
-  EXPECT_TRUE(data->progress.completed);
+  EXPECT_TRUE(data->eval.frame.completed);
   EXPECT_EQ(data->symbols.size(), source.symbols().size());
   EXPECT_EQ(data->edb.size(), 2u);
-  EXPECT_TRUE(data->has_analysis);
-  EXPECT_TRUE(data->has_profile);
+  EXPECT_TRUE(data->eval.has_analysis);
+  EXPECT_TRUE(data->eval.has_profile);
   EXPECT_EQ(data->config.assigner_kind, "random");
-  EXPECT_EQ(data->stats.facts_derived, source.stats().facts_derived);
+  EXPECT_EQ(data->eval.stats.facts_derived, source.stats().facts_derived);
 
   // A fresh engine resumed from it answers identically without
   // re-evaluating, down to tid assignments (the ID-relation contents).

@@ -9,9 +9,6 @@
 //                                        four workers plus the caller;
 //                                        0 = auto-detect the hardware,
 //                                        1 = serial)
-//             [--explain "v1 v2 ..."]   (derivation tree of one fact,
-//                                        tuple fields only; predicate
-//                                        comes from --query)
 //             [--why "pred(c1, ...)"]   (bounded proof tree: WHY the
 //                                        ground fact holds; implies
 //                                        provenance recording)
@@ -103,7 +100,7 @@
 //   .seed N             switch to a random tid assigner with seed N
 //   .identity           switch back to the canonical assigner
 //   .query PRED         evaluate and print PRED
-//   .explain PRED v...  show the derivation tree of one fact
+//   .why pred(c1, ...)  show the proof tree of one ground fact
 //   .enumerate PRED     print every possible answer of PRED
 //   .program            show the accumulated program
 //   .stats              show evaluation counters from the last run
@@ -248,7 +245,8 @@ Status ParseGroundAtom(const std::string& flag, const std::string& text,
 }
 
 // Constant fields to values: all-digit fields are numbers, everything
-// else interns as a symbol (same convention as --explain and .explain).
+// else interns as a symbol (same convention for every ground atom the
+// CLI reads).
 idlog::Tuple FieldsToTuple(idlog::SymbolTable* symbols,
                            const std::vector<std::string>& fields) {
   idlog::Tuple tuple;
@@ -429,8 +427,6 @@ int RunBatch(int argc, char** argv) {
   bool pushdown = true;
   uint64_t seed = 0;
   bool random = false;
-  std::string explain_fields;
-  bool explain = false;
   std::string why_atom;
   bool why = false;
   bool why_not = false;
@@ -494,13 +490,6 @@ int RunBatch(int argc, char** argv) {
       random = true;
     } else if (arg == "--enumerate") {
       enumerate = true;
-    } else if (arg == "--explain") {
-      const char* v = next();
-      if (v == nullptr) {
-        return Fail(Status::InvalidArgument(arg + " \"v1 v2 ...\""));
-      }
-      explain_fields = v;
-      explain = true;
     } else if (arg == "--why") {
       const char* v = next();
       if (v == nullptr || *v == '\0') {
@@ -722,12 +711,6 @@ int RunBatch(int argc, char** argv) {
           "--resume continues one checkpointed run; it cannot be "
           "combined with --enumerate"));
     }
-    if (explain) {
-      return Fail(Status::InvalidArgument(
-          "--explain needs provenance recorded from round 0, which a "
-          "resumed run no longer has; it cannot be combined with "
-          "--resume"));
-    }
     if (explain_plan) {
       return Fail(Status::InvalidArgument(
           "--explain-plan does not evaluate, so there is nothing for "
@@ -849,9 +832,8 @@ int RunBatch(int argc, char** argv) {
   // --why needs the lineage store; --why-not only walks rule plans
   // against the computed model, so it costs nothing extra. A resumed
   // run restores pre-crash derivations from the snapshot's DERIV
-  // section, which is why --why (unlike --explain) composes with
-  // --resume.
-  if (explain || why || script_wants_why) engine.EnableProvenance(true);
+  // section, so --why composes with --resume.
+  if (why || script_wants_why) engine.EnableProvenance(true);
   // Graceful shutdown: after this point a first SIGINT/SIGTERM cancels
   // the governor (the run winds down through the normal trip path and
   // finish() maps the exit code to 130); a second force-exits.
@@ -1028,29 +1010,6 @@ int RunBatch(int argc, char** argv) {
     return finish(0);
   }
 
-  if (explain) {
-    idlog::Tuple tuple;
-    std::istringstream fields(explain_fields);
-    std::string field;
-    while (fields >> field) {
-      bool numeric = !field.empty();
-      for (char c : field) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          numeric = false;
-          break;
-        }
-      }
-      tuple.push_back(numeric
-                          ? idlog::Value::Number(std::stoll(field))
-                          : idlog::Value::Symbol(
-                                engine.symbols().Intern(field)));
-    }
-    auto text = engine.Explain(query, tuple);
-    if (!text.ok()) return finish(Fail(text.status()));
-    std::printf("%s", text->c_str());
-    return finish(0);
-  }
-
   if (why || why_not) {
     idlog::Tuple tuple = FieldsToTuple(&engine.symbols(), why_fields);
     auto text = why ? engine.Why(why_pred, tuple)
@@ -1097,7 +1056,7 @@ int RunRepl() {
       if (cmd == ".help") {
         std::printf(
             ".load FILE | .csv REL FILE | .fact REL v... | .seed N | "
-            ".explain PRED v... | "
+            ".why pred(c1, ...) | "
             ".identity | .query PRED | .enumerate PRED | .program | "
             ".stats | .quit\n");
       } else if (cmd == ".load") {
@@ -1149,28 +1108,18 @@ int RunRepl() {
         } else {
           PrintRelation(**result, engine.symbols());
         }
-      } else if (cmd == ".explain") {
+      } else if (cmd == ".why") {
+        std::string atom;
+        std::getline(words, atom);
         std::string pred;
-        words >> pred;
         std::vector<std::string> fields;
-        std::string f;
-        while (words >> f) fields.push_back(f);
-        engine.EnableProvenance(true);
-        idlog::Tuple tuple;
-        for (const std::string& field : fields) {
-          bool numeric = !field.empty();
-          for (char c : field) {
-            if (!std::isdigit(static_cast<unsigned char>(c))) {
-              numeric = false;
-              break;
-            }
-          }
-          tuple.push_back(numeric
-                              ? idlog::Value::Number(std::stoll(field))
-                              : idlog::Value::Symbol(
-                                    engine.symbols().Intern(field)));
+        Status parsed = ParseGroundAtom(".why", Trim(atom), &pred, &fields);
+        if (!parsed.ok()) {
+          std::printf("error: %s\n", parsed.ToString().c_str());
+          continue;
         }
-        auto text = engine.Explain(pred, tuple);
+        engine.EnableProvenance(true);
+        auto text = engine.Why(pred, FieldsToTuple(&engine.symbols(), fields));
         if (!text.ok()) {
           std::printf("error: %s\n", text.status().ToString().c_str());
         } else {
@@ -1244,8 +1193,7 @@ int main(int argc, char** argv) {
                  "       %s run PROGRAM.idl --query PRED [--csv REL=FILE]"
                  " [--seed N] [--enumerate] [--stats] [--naive]"
                  " [--no-tid-pushdown] [--jobs N]\n"
-                 "           [--explain \"v1 v2 ...\"]"
-                 " [--why \"pred(c1, ...)\"] [--why-not \"pred(c1, ...)\"]"
+                 "           [--why \"pred(c1, ...)\"] [--why-not \"pred(c1, ...)\"]"
                  " [--why-json FILE]\n"
                  "           [--explain-plan] [--explain-analyze]"
                  " [--explain-json FILE]\n"
