@@ -188,70 +188,6 @@ void RunParallelSection() {
   bench_util::WriteBenchMetrics("parallel", profiles);
 }
 
-// E7: delta-partitioned recursion. A single recursive rule has no
-// rule-level parallelism — before delta partitioning, `--jobs N` on
-// this shape paid the pool and merge overhead for zero concurrency and
-// could run *slower* than serial. The partitioned executor splits the
-// one heavy (rule, delta) task into contiguous row ranges of the delta
-// relation and commits them in range order, so wall time scales with
-// threads while answers and every logical stat stay byte-identical
-// (`equal` must print yes).
-ParallelRun RunSingleRuleTc(int jobs, int nodes, int edges) {
-  IdlogEngine engine;
-  FillGraph(&engine.database(), Shape::kRandom, nodes, edges,
-            /*seed=*/41);
-  ParallelRun out;
-  engine.SetThreads(jobs);
-  engine.EnableProfiling(true);
-  if (!engine.LoadProgramText(kTc).ok()) return out;
-  auto t0 = Clock::now();
-  auto q = engine.Query("path");
-  out.ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  out.answer = q.ok() ? (*q)->size() : 0;
-  out.tuples = engine.stats().tuples_considered;
-  out.profile = engine.profile();
-  return out;
-}
-
-void RunPartitionSection() {
-  unsigned hw = std::thread::hardware_concurrency();
-  int auto_jobs = hw > 0 ? static_cast<int>(hw) : 1;
-  std::printf(
-      "\nE7: delta-partitioned recursion — single TC rule, --jobs 1 vs "
-      "--jobs %d (auto; host has %u hardware threads)\n",
-      auto_jobs, hw);
-  bench_util::PrintHeader({"nodes/edges", "|path|", "jobs1 ms",
-                           "jobsN ms", "speedup", "tuples", "equal",
-                           "-"});
-  std::vector<bench_util::LabeledProfile> profiles;
-  for (auto [nodes, edges] : {std::pair{300, 1200}, {600, 2400}}) {
-    ParallelRun serial = RunSingleRuleTc(1, nodes, edges);
-    ParallelRun parallel = RunSingleRuleTc(auto_jobs, nodes, edges);
-    bool equal = serial.answer == parallel.answer &&
-                 serial.tuples == parallel.tuples;
-    auto fmt = [](double v) { return std::to_string(v).substr(0, 7); };
-    bench_util::PrintRow(
-        {std::to_string(nodes) + "/" + std::to_string(edges),
-         std::to_string(serial.answer), fmt(serial.ms), fmt(parallel.ms),
-         fmt(serial.ms / (parallel.ms > 0 ? parallel.ms : 1e-9)) + "x",
-         std::to_string(serial.tuples), equal ? "yes" : "NO", "-"});
-    profiles.emplace_back("tc_jobs1_n" + std::to_string(nodes),
-                          serial.profile);
-    profiles.emplace_back("tc_jobsN_n" + std::to_string(nodes),
-                          parallel.profile);
-    std::string tag = "n" + std::to_string(nodes);
-    Core("E7_partition", tag + ".answer",
-         static_cast<double>(serial.answer));
-    Core("E7_partition", tag + ".jobs1_ms", serial.ms);
-    Core("E7_partition", tag + ".jobsN_ms", parallel.ms);
-    Core("E7_partition", tag + ".tuples",
-         static_cast<double>(serial.tuples));
-    Core("E7_partition", tag + ".equal", equal ? 1 : 0);
-  }
-  bench_util::WriteBenchMetrics("partition", profiles);
-}
-
 // E5: EXPLAIN ANALYZE overhead. The per-step counters hang off a single
 // pointer the executor null-tests, so with explain off the fixpoint
 // must run at full speed (<2% target); with it on, the price of
@@ -534,7 +470,6 @@ int main(int argc, char** argv) {
   }
 
   idlog::RunParallelSection();
-  idlog::RunPartitionSection();
   idlog::RunExplainSection();
   idlog::RunProvenanceSection();
   idlog::RunFlightSection();

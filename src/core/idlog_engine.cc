@@ -146,9 +146,8 @@ std::string IdlogEngine::SerializeCurrentState(
   return SerializeSnapshot(CurrentView(progress));
 }
 
-Status IdlogEngine::OnCheckpointFrame(
-    const FixpointFrame& frame,
-    const std::map<std::string, Relation>& delta) {
+Status IdlogEngine::OnCheckpointFrame(const FixpointFrame& frame,
+                                      const DeltaMarks& delta) {
   IDLOG_FAILPOINT("engine.checkpoint.frame");
   SnapshotView view = CurrentView(frame);
   if (frame.in_stratum) view.delta = &delta;
@@ -264,8 +263,7 @@ Status IdlogEngine::Run() {
   }
   if (!checkpoint_path_.empty()) {
     impl_->set_checkpoint_hook(
-        [this](const FixpointFrame& frame,
-               const std::map<std::string, Relation>& delta) {
+        [this](const FixpointFrame& frame, const DeltaMarks& delta) {
           return OnCheckpointFrame(frame, delta);
         });
   } else {
@@ -538,9 +536,11 @@ Status IdlogEngine::Abort() {
 }
 
 Status IdlogEngine::ApplyCommittedOps() {
-  // Apply to the EDB, recording the insertions that are actually new:
-  // they are exactly the delta the incremental re-derivation seeds.
-  std::map<std::string, Relation> inserted;
+  // Apply to the EDB, marking each relation that gains a tuple at its
+  // size before the first one: Insert appends only new tuples, so its
+  // rows from the mark on are exactly the delta the incremental
+  // re-derivation seeds.
+  DeltaMarks inserted;
   bool any_retract = false;
   for (const PendingOp& op : txn_ops_) {
     if (op.retract) {
@@ -551,23 +551,13 @@ Status IdlogEngine::ApplyCommittedOps() {
         if (erased.status().code() == StatusCode::kNotFound) continue;
         return erased.status();
       }
-      if (*erased) {
-        any_retract = true;
-        auto it = inserted.find(op.pred);
-        if (it != inserted.end()) it->second.Erase(op.tuple);
-      }
+      any_retract = any_retract || *erased;
     } else {
       Result<const Relation*> rel = database_.Get(op.pred);
-      const bool already = rel.ok() && (*rel)->Contains(op.tuple);
-      IDLOG_RETURN_NOT_OK(database_.AddTuple(op.pred, Tuple(op.tuple)));
-      if (!already) {
-        IDLOG_ASSIGN_OR_RETURN(const Relation* now,
-                               database_.Get(op.pred));
-        Relation& acc =
-            inserted.try_emplace(op.pred, Relation(now->type()))
-                .first->second;
-        acc.Insert(op.tuple);
+      if (!rel.ok() || !(*rel)->Contains(op.tuple)) {
+        inserted.try_emplace(op.pred, rel.ok() ? (*rel)->size() : 0);
       }
+      IDLOG_RETURN_NOT_OK(database_.AddTuple(op.pred, Tuple(op.tuple)));
     }
   }
   last_commit_incremental_ = false;
@@ -577,12 +567,7 @@ Status IdlogEngine::ApplyCommittedOps() {
     ran_ = false;
     return Run();
   }
-  bool effective = false;
-  for (const auto& [pred, rel] : inserted) {
-    (void)pred;
-    if (!rel.empty()) effective = true;
-  }
-  if (!effective) return ran_ ? Status::OK() : Run();
+  if (inserted.empty()) return ran_ ? Status::OK() : Run();
   if (!ran_) {
     // No model to extend (first evaluation still pending).
     return Run();

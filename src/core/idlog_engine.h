@@ -385,7 +385,7 @@ class IdlogEngine {
   SnapshotView CurrentView(const FixpointFrame& progress) const;
   std::string SerializeCurrentState(const FixpointFrame& progress) const;
   Status OnCheckpointFrame(const FixpointFrame& frame,
-                           const std::map<std::string, Relation>& delta);
+                           const DeltaMarks& delta);
   Status RestoreAssigner(const SnapshotConfig& config);
   /// Restores a decoded snapshot's symbols/EDB/config into this (fresh)
   /// engine and stages the rest for the matching LoadProgram + Run.

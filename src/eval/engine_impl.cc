@@ -240,7 +240,7 @@ void EngineImpl::InstallResumeState(EvalResumeState state) {
   if (state.frame.in_stratum) {
     pending_resume_->start.emplace();
     pending_resume_->start->round = state.frame.round;
-    pending_resume_->start->delta = std::move(state.delta);
+    pending_resume_->start->marks = std::move(state.delta);
   }
 }
 
@@ -314,8 +314,8 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
   return RunStrata(assigner, seminaive, resume.get(), /*seed=*/nullptr);
 }
 
-Status EngineImpl::EvaluateIncremental(
-    const std::map<std::string, Relation>& changed, bool seminaive) {
+Status EngineImpl::EvaluateIncremental(const DeltaMarks& changed,
+                                       bool seminaive) {
   if (!prepared_) {
     return Status::InvalidArgument("Prepare() the engine before Evaluate()");
   }
@@ -336,8 +336,8 @@ Status EngineImpl::EvaluateIncremental(
   // not propagate here because reading a tainted predicate through
   // either is grounds for refusal below.
   std::set<std::string> tainted;
-  for (const auto& [pred, rel] : changed) {
-    (void)rel;
+  for (const auto& [pred, mark] : changed) {
+    (void)mark;
     if (idb_preds_.count(pred) > 0) {
       return Status::Unsupported(
           "'" + pred +
@@ -393,16 +393,20 @@ Status EngineImpl::EvaluateIncremental(
   TraceSpan eval_span(trace_, "evaluate incremental", "engine");
   eval_span.AddArg(TraceArg::Num("changed_preds", changed.size()));
   // Every stratum the change reaches continues the completed run; a
-  // tainted predicate is the only kind whose delta can be non-empty.
+  // tainted predicate is the only kind that can grow, so marking each
+  // one now lets every stratum see the growth of the strata below it.
   StratumStart seed;
-  seed.delta = changed;
-  seed.extra_preds = std::move(tainted);
+  seed.marks = changed;
+  for (const std::string& pred : tainted) {
+    seed.marks.try_emplace(pred, FullRelation(pred)->size());
+  }
   return RunStrata(/*assigner=*/nullptr, seminaive, /*resume=*/nullptr,
                    &seed);
 }
 
 Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
-                             PendingResume* resume, StratumStart* seed) {
+                             PendingResume* resume,
+                             const StratumStart* seed) {
   const bool incremental = seed != nullptr;
   // Stamps the wall time into the stats, the profile and the profile
   // totals on every exit path — trips and errors included, so a partial
@@ -478,50 +482,24 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
       stratum_plans.push_back(&plan);
       stratum_preds.insert(plan.head_pred);
       for (int step : plan.positive_scan_steps) {
-        if (incremental &&
-            seed->delta.count(plan.steps[static_cast<size_t>(step)]
-                                  .predicate) > 0) {
-          reached = true;
-        }
+        if (!incremental) continue;
+        const PlanStep& scan = plan.steps[static_cast<size_t>(step)];
+        const Relation* full = slots.full[static_cast<size_t>(scan.rel)];
+        auto mark = seed->marks.find(scan.predicate);
+        reached = reached || (mark != seed->marks.end() &&
+                              full != nullptr && full->size() > mark->second);
       }
     }
-    // Where the stratum starts and who sees its round boundaries: the
-    // seed and its accumulator in an incremental pass (a stratum none of
-    // whose rules scans a changed predicate derives exactly what it
-    // already derived, so it is skipped without charging rounds), else
-    // round 0 or the checkpointed frame, and the checkpoint writer.
-    StratumStart seeded;
-    StratumStart* start = nullptr;
-    RoundBoundaryHook on_round = nullptr;
+    // Where the stratum starts: from the seed in an incremental pass (a
+    // stratum none of whose scans has rows past a mark derives exactly
+    // what it already derived, so it is skipped without charging
+    // rounds), else at round 0 or the checkpointed frame.
+    const StratumStart* start = nullptr;
     if (incremental) {
       if (!reached) continue;
-      seeded = *seed;
-      start = &seeded;
-      on_round = [seed](uint64_t round,
-                        const std::map<std::string, Relation>& delta) {
-        (void)round;
-        for (const auto& [pred, rel] : delta) {
-          Relation& acc =
-              seed->delta.try_emplace(pred, Relation(rel.type()))
-                  .first->second;
-          for (const Tuple& t : rel.tuples()) acc.Insert(t);
-        }
-        return Status::OK();
-      };
-    } else {
-      if (resume != nullptr && s == resume->stratum && resume->start) {
-        start = &*resume->start;
-      }
-      if (checkpoint_hook_ != nullptr) {
-        on_round = [this, s](uint64_t round,
-                             const std::map<std::string, Relation>& delta) {
-          FixpointFrame frame;
-          frame.stratum = s;
-          frame.round = round;
-          frame.in_stratum = true;
-          return checkpoint_hook_(frame, delta);
-        };
-      }
+      start = seed;
+    } else if (resume != nullptr && s == resume->stratum && resume->start) {
+      start = &*resume->start;
     }
     // A stratum continued from a checkpoint frame was entered, and its
     // rounds up to the frame were counted, before the frame was cut;
@@ -558,8 +536,9 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
 
     Status stratum_status = Status::OK();
     if (!stratum_plans.empty()) {
-      stratum_status = EvaluateStratum(stratum_plans, stratum_preds, ctx,
-                                       slots, seminaive, start, on_round);
+      stratum_status = EvaluateStratum(
+          stratum_plans, stratum_preds, ctx, slots, seminaive, start,
+          incremental ? CheckpointHook() : checkpoint_hook_);
     }
     const uint64_t rounds = stats_.iterations - rounds_before;
     if (profiling_) {

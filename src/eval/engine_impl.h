@@ -56,10 +56,11 @@ class EngineImpl {
 
   /// Extends the model of a *completed* Evaluate() in place after new
   /// EDB facts were inserted, without re-running the full fixpoint:
-  /// `changed` maps each mutated predicate to a relation holding only
-  /// the tuples that are actually new, and every stratum the change
-  /// reaches continues the completed run (no round 0) with a first
-  /// round that differentiates on those deltas. Stats, profile, EXPLAIN
+  /// `changed` marks each grown EDB relation at its size before the
+  /// change (Insert appends only new tuples, so its rows from there on
+  /// are exactly the new facts), and every stratum the change reaches
+  /// continues the completed run (no round 0) with a first round that
+  /// differentiates on the change's growth. Stats, profile, EXPLAIN
   /// ANALYZE counters and provenance accumulate on top of the previous
   /// run's; nothing is cleared.
   ///
@@ -70,8 +71,7 @@ class EngineImpl {
   /// ID-relation step over a predicate in the taint closure of
   /// `changed` (ID-relations are materialized from their base's old
   /// contents, and negation makes growth non-monotone).
-  Status EvaluateIncremental(const std::map<std::string, Relation>& changed,
-                             bool seminaive);
+  Status EvaluateIncremental(const DeltaMarks& changed, bool seminaive);
 
   /// The IDB predicate set of the loaded program (valid after
   /// Prepare()); EDB mutations against these are shadowed by derived
@@ -98,13 +98,9 @@ class EngineImpl {
   /// start fresh as usual.
   void InstallResumeState(EvalResumeState state);
 
-  /// Observes every fixpoint round boundary of Evaluate() with a
-  /// consistent frame (the checkpointer): each boundary inside a stratum,
-  /// and the boundary that leaves a stratum once its profile row and
-  /// trace args are written. A non-OK return aborts the run. Null
-  /// (default) disables.
-  using CheckpointHook = std::function<Status(
-      const FixpointFrame&, const std::map<std::string, Relation>& delta)>;
+  /// Observes every fixpoint round boundary of Evaluate() (see
+  /// CheckpointHook); the boundary that leaves a stratum comes once its
+  /// profile row and trace args are written. Null (default) disables.
   void set_checkpoint_hook(CheckpointHook hook) {
     checkpoint_hook_ = std::move(hook);
   }
@@ -240,12 +236,11 @@ class EngineImpl {
   /// full run starts every stratum at round 0; `resume` re-enters the
   /// fixpoint at its stratum, continuing it from the checkpointed round
   /// when it has a start. A non-null `seed` (the completed run as round
-  /// 0, the change set as its delta) makes the pass incremental: only
-  /// the strata the seed reaches run, each continuing from the seed,
-  /// whose delta collects their growth for the strata above, and no
-  /// ID-relation is materialized.
+  /// 0, the taint closure marked at the pass's start) makes the pass
+  /// incremental: only the strata with rows past a mark run, each
+  /// continuing from the seed, and no ID-relation is materialized.
   Status RunStrata(TidAssigner* assigner, bool seminaive,
-                   PendingResume* resume, StratumStart* seed);
+                   PendingResume* resume, const StratumStart* seed);
 
   /// Slot tables over the current relations (RelationSlots): by
   /// predicate the full and derived relations, by ID slot the

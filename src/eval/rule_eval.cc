@@ -33,9 +33,8 @@ class RuleExecutor {
     // A differentiated rule derives nothing when its delta is empty;
     // bail out before scanning any earlier (possibly large) steps.
     if (delta_step_ >= 0) {
-      const Relation* delta =
-          bound_[static_cast<size_t>(delta_step_)].rel;
-      if (delta == nullptr || delta->empty()) return Status::OK();
+      const BoundStep& delta = bound_[static_cast<size_t>(delta_step_)];
+      if (delta.begin == delta.end) return Status::OK();
     }
     // A partitioned task is one logical rule evaluation split across
     // K executor runs; partition 0 counts the firing for all of them,
@@ -123,9 +122,10 @@ class RuleExecutor {
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
-        const Relation* rel = bound_[i].rel;
-        if (rel == nullptr || rel->empty()) return Status::OK();
-        const ColumnIndex* index = bound_[i].index;
+        const BoundStep& bound = bound_[i];
+        if (bound.begin == bound.end) return Status::OK();
+        const Relation* rel = bound.rel;
+        const ColumnIndex* index = bound.index;
 
         if (index == nullptr) {
           // Partitioned delta scan: read only this part's contiguous
@@ -134,14 +134,15 @@ class RuleExecutor {
           // EvaluateStratum only partitions tasks whose delta step is
           // step 0 with no bound keys, which is precisely this loop.
           const std::vector<Tuple>& rows = rel->tuples();
-          size_t begin = 0;
-          size_t end = rows.size();
+          size_t begin = bound.begin;
+          size_t end = bound.end;
           if (static_cast<int>(i) == delta_step_ && i == 0 &&
               ctx_.partition_count > 1) {
             const size_t k = static_cast<size_t>(ctx_.partition_index);
             const size_t parts = static_cast<size_t>(ctx_.partition_count);
-            begin = rows.size() * k / parts;
-            end = rows.size() * (k + 1) / parts;
+            const size_t n = bound.end - bound.begin;
+            begin = bound.begin + n * k / parts;
+            end = bound.begin + n * (k + 1) / parts;
           }
           for (size_t r = begin; r < end; ++r) {
             const Tuple& row = rows[r];
@@ -319,16 +320,39 @@ Status BindRule(const RulePlan& plan, const RelationSlots& slots,
                                 "' missing from the evaluated state");
       }
     } else {
-      b.rel = static_cast<int>(i) == delta_step ? slots.delta[rel]
-                                                : slots.full[rel];
+      b.rel = slots.full[rel];
+    }
+    b.end = b.rel != nullptr ? b.rel->size() : 0;
+    const bool is_delta = static_cast<int>(i) == delta_step;
+    if (is_delta) {
+      // Relations only grow inside a fixpoint (Erase runs outside one),
+      // so a delta past the end of its relation is a broken invariant.
+      const std::optional<size_t>& mark = slots.delta[rel].mark;
+      if (mark.has_value() && *mark > b.end) {
+        return Status::Internal("delta of '" + step.predicate +
+                                "' starts past the end of its relation");
+      }
+      b.begin = mark.value_or(b.end);
     }
     if (step.kind != PlanStep::Kind::kScan || !use_indexes ||
-        step.key_cols.empty() || b.rel == nullptr || b.rel->empty()) {
+        step.key_cols.empty() || b.begin == b.end) {
       continue;
     }
     IDLOG_FAILPOINT("eval.index.build");
     bool built = false;
-    b.index = &b.rel->IndexOn(step.key_cols, &built);
+    if (is_delta) {
+      // One index per (predicate, key columns) per round, over just the
+      // delta rows: a miss on a small delta is cheap, where a probe of
+      // the full relation's index would hit and find nothing in range.
+      auto [it, created] =
+          slots.delta[rel].indexes.try_emplace(step.key_cols, step.key_cols,
+                                               b.begin);
+      if (created) it->second.Extend(b.rel->tuples());
+      built = created;
+      b.index = &it->second;
+    } else {
+      b.index = &b.rel->IndexOn(step.key_cols, &built);
+    }
     if (built && stats != nullptr) {
       ++stats->index_builds;
       ++stats->index_cache_misses;

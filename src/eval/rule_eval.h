@@ -1,6 +1,8 @@
 #ifndef IDLOG_EVAL_RULE_EVAL_H_
 #define IDLOG_EVAL_RULE_EVAL_H_
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/limits.h"
@@ -18,6 +20,16 @@ namespace idlog {
 
 class ThreadPool;  // exec/thread_pool.h; the context only points at it.
 
+/// A delta: rows [mark, size) of its predicate's full relation, plus the
+/// indexes BindRule builds over just those rows (postings are row ids
+/// of the full relation). The stratum driver resets the slots after
+/// every round, so an index lives one round, like the delta it covers.
+struct DeltaSlot {
+  std::optional<size_t> mark;  ///< Unset: the predicate gained nothing.
+  /// Built through const slots by BindRule: a cache, not contents.
+  mutable std::map<std::vector<int>, ColumnIndex> indexes;
+};
+
 /// The relations plan steps read, by slot (PlanStep::rel, RulePlan::
 /// head). The engine fills them at the start of every evaluation call
 /// and never keeps them across calls: an EDB relation can appear
@@ -32,16 +44,18 @@ struct RelationSlots {
   std::vector<Relation*> derived;
   /// By predicate: the facts new in the previous round. Only the
   /// stratum driver sets these, for the stratum it runs.
-  std::vector<const Relation*> delta;
+  std::vector<DeltaSlot> delta;
   /// By ID-relation slot: the materialized ID-relation.
   std::vector<const Relation*> id;
 };
 
-/// One plan step's relation and index, resolved by BindRule.
+/// One plan step's relation, rows and index, resolved by BindRule.
 struct BoundStep {
   const Relation* rel = nullptr;       ///< Null reads as empty.
-  const ColumnIndex* index = nullptr;  ///< Null: scan all rows, checking
+  const ColumnIndex* index = nullptr;  ///< Null: scan the rows, checking
                                        ///< the key columns.
+  size_t begin = 0;  ///< The rows [begin, end) the step reads: all of
+  size_t end = 0;    ///< `rel`, or a delta's range.
 };
 
 /// Runtime environment a rule executes in.
@@ -70,8 +84,8 @@ struct EvalContext {
   /// The slice of the delta one executor run reads (set by the round
   /// executor on part contexts). When partition_count > 1 the delta
   /// scan — which eligibility restricts to plan step 0 — reads only the
-  /// contiguous rows [n·index/count, n·(index+1)/count) of its n-row
-  /// delta. Run in index order, the parts emit exactly the serial
+  /// contiguous rows [n·index/count, n·(index+1)/count) of its n
+  /// delta rows. Run in index order, the parts emit exactly the serial
   /// emission sequence, and their per-row counters sum to an
   /// unpartitioned run. Partitions > 0 also suppress the
   /// once-per-evaluation counters (rule_firings, the delta step's
@@ -110,8 +124,9 @@ struct EvalContext {
 /// Resolves every step of `plan` from `slots` into `bound` and builds or
 /// extends the index each keyed scan probes (none with `use_indexes`
 /// off). If `delta_step >= 0`, that step (which must be a positive
-/// non-ID scan) reads the delta relation instead of the full relation —
-/// the semi-naive differentiation hook. An index built or extended here
+/// non-ID scan) reads only its delta's rows — the semi-naive
+/// differentiation hook — and a delta that starts past the end of its
+/// relation is an Internal error. An index built or extended here
 /// counts in `stats` (index_builds, index_cache_misses) and as the
 /// step's index_misses in `step_stats`; an index already current counts
 /// as an index_hit. Both may be null. Call on one thread while no rule

@@ -1,6 +1,7 @@
 #include "eval/stratum_eval.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -21,42 +22,40 @@ constexpr uint64_t kMinPartitionRows = 2;
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& ctx, RelationSlots slots,
-                       bool seminaive, StratumStart* start,
-                       const RoundBoundaryHook& on_round) {
-  // The delta stays keyed by name, as the round hook and resume frames
-  // see it; after every swap the delta slots of this stratum's positive
-  // scans (the only steps a task differentiates) are pointed at it,
-  // null where the predicate gained nothing.
-  std::map<std::string, Relation> delta;
-  auto replace_delta = [&](std::map<std::string, Relation>&& next) {
-    delta = std::move(next);
+                       bool seminaive, const StratumStart* start,
+                       const CheckpointHook& on_round) {
+  // The round's delta, as the checkpoint hook and resume frames see it.
+  // Every round resets the delta slots of this stratum's positive scans
+  // (the only steps a task differentiates) to it, with no indexes.
+  DeltaMarks marks;
+  auto set_marks = [&](DeltaMarks next) {
+    marks = std::move(next);
     for (const RulePlan* plan : plans) {
       for (int step : plan->positive_scan_steps) {
         const PlanStep& scan = plan->steps[static_cast<size_t>(step)];
-        auto it = delta.find(scan.predicate);
-        slots.delta[static_cast<size_t>(scan.rel)] =
-            it == delta.end() ? nullptr : &it->second;
+        DeltaSlot& slot = slots.delta[static_cast<size_t>(scan.rel)];
+        slot = DeltaSlot();
+        auto it = marks.find(scan.predicate);
+        if (it != marks.end()) slot.mark = it->second;
       }
     }
   };
   // The first round is round 0 unless the caller continues the stratum
-  // after a completed round: then the start's delta feeds the first
-  // differentiated round, whose filter also takes the start's extra
-  // predicates; later rounds differentiate only on this stratum's own
-  // growth.
+  // after a completed round: then the first differentiated round scans
+  // every predicate the start marks, and later rounds only this
+  // stratum's own growth.
   bool round0 = start == nullptr;
   uint64_t round = 0;
-  const std::set<std::string>* filter = &stratum_preds;
-  std::set<std::string> first_filter;
   if (start != nullptr) {
-    replace_delta(std::move(start->delta));
+    set_marks(start->marks);
     round = start->round + 1;
-    if (!start->extra_preds.empty()) {
-      first_filter = stratum_preds;
-      first_filter.insert(start->extra_preds.begin(),
-                          start->extra_preds.end());
-      filter = &first_filter;
-    }
+  }
+  // This stratum's relations: only its commits grow them, so a round's
+  // delta is each one's rows from its size before the commit on.
+  std::map<std::string, const Relation*> own;
+  for (const RulePlan* plan : plans) {
+    own.emplace(plan->head_pred,
+                slots.derived[static_cast<size_t>(plan->head)]);
   }
 
   // EXPLAIN ANALYZE: record this stratum's per-round delta sizes. The
@@ -93,10 +92,15 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         !scan.key_cols.empty()) {
       return 1;
     }
-    const Relation* d = slots.delta[static_cast<size_t>(scan.rel)];
-    if (d == nullptr || d->size() < kMinPartitionRows) return 1;
+    const std::optional<size_t>& mark =
+        slots.delta[static_cast<size_t>(scan.rel)].mark;
+    const Relation* full = slots.full[static_cast<size_t>(scan.rel)];
+    if (!mark.has_value() || full == nullptr ||
+        full->size() < *mark + kMinPartitionRows) {
+      return 1;
+    }
     return static_cast<int>(std::min<uint64_t>(
-        static_cast<uint64_t>(ctx.pool->size()), d->size()));
+        static_cast<uint64_t>(ctx.pool->size()), full->size() - *mark));
   };
 
   // Runs one round's (rule, delta_step) tasks and commits what they
@@ -109,13 +113,11 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // spans and the provenance store come out identical for every --jobs
   // (timing values aside). Commit is where inserts become observable: a
   // staged tuple counts as facts_inserted (and is charged to the
-  // governor, and enters the next delta) iff it is new in the full
-  // relation — the one definition of "new" that no concatenation order
-  // can perturb.
-  auto run_round = [&](std::vector<RoundTask>&& tasks, uint64_t round,
-                       bool* any_new,
-                       std::map<std::string, Relation>* next_delta)
-      -> Status {
+  // governor, and lands in the next delta's rows) iff it is new in the
+  // full relation — the one definition of "new" that no concatenation
+  // order can perturb.
+  auto run_round = [&](std::vector<RoundTask>&& tasks,
+                       uint64_t round) -> Status {
     for (RoundTask& task : tasks) {
       task.head = slots.derived[static_cast<size_t>(task.plan->head)];
       task.parts.resize(static_cast<size_t>(task.partitions));
@@ -201,20 +203,10 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       Status commit_status = Status::OK();
       if (!failed) {
         Relation& full = *task.head;
-        Relation* fresh = nullptr;
         for (const RoundPart& part : task.parts) {
           for (const Tuple& t : part.staged.tuples()) {
             if (!full.Insert(t)) continue;
             ++inserted;
-            *any_new = true;
-            if (next_delta != nullptr) {
-              if (fresh == nullptr) {
-                fresh = &next_delta->try_emplace(task.plan->head_pred,
-                                                 Relation(full.type()))
-                             .first->second;
-              }
-              fresh->Insert(t);
-            }
             if (ctx.governor != nullptr && commit_status.ok()) {
               commit_status = ctx.governor->OnDerived(
                   1, ApproxTupleBytes(task.plan->head_args.size()));
@@ -275,12 +267,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         args.push_back(TraceArg::Int("stratum", ctx.stratum));
         args.push_back(TraceArg::Num("round", round));
         if (task.delta_step >= 0) {
+          // The delta's length at bind: this round's commits of earlier
+          // tasks have grown the relation since.
           const size_t step = static_cast<size_t>(task.delta_step);
-          const Relation* d = task.bound[step].rel;
+          const BoundStep& d = task.bound[step];
           args.push_back(
               TraceArg::Str("delta", task.plan->steps[step].predicate));
-          args.push_back(
-              TraceArg::Num("delta_size", d != nullptr ? d->size() : 0));
+          args.push_back(TraceArg::Num("delta_size", d.end - d.begin));
           // The partition fanout is deliberately NOT a trace arg: traces
           // are part of the byte-identical --jobs contract, and the
           // fanout is physical scheduling detail like thread ids.
@@ -305,9 +298,10 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   };
 
   // Round 0 runs every rule over the full relations. Later rounds
-  // differentiate each positive scan over a `filter` predicate; naive
-  // mode re-runs the recursive rules in full instead (rules with no
-  // intra-stratum dependency are complete after round 0).
+  // differentiate each positive scan over one of this stratum's
+  // predicates or a marked one; naive mode re-runs the recursive rules
+  // in full instead (rules with no intra-stratum dependency are
+  // complete after round 0).
   auto round_tasks = [&]() {
     std::vector<RoundTask> tasks;
     for (const RulePlan* plan : plans) {
@@ -330,7 +324,9 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       for (int step : plan->positive_scan_steps) {
         const std::string& pred =
             plan->steps[static_cast<size_t>(step)].predicate;
-        if (filter->count(pred) == 0) continue;
+        if (stratum_preds.count(pred) == 0 && marks.count(pred) == 0) {
+          continue;
+        }
         RoundTask task;
         task.plan = plan;
         task.delta_step = step;
@@ -352,23 +348,23 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     // No rule left to run: the stratum is complete.
     if (tasks.empty()) return Status::OK();
     const char* kind = round0 ? "round0" : "delta";
-    bool any = false;
-    std::map<std::string, Relation> next_delta;
+    DeltaMarks next;
+    for (const auto& [pred, rel] : own) next.emplace(pred, rel->size());
     FlightRecorder::Record(FlightEventKind::kRoundStart, kind, ctx.stratum,
                            static_cast<int64_t>(round),
                            static_cast<int64_t>(tasks.size()));
-    IDLOG_RETURN_NOT_OK(
-        run_round(std::move(tasks), round, &any, &next_delta));
+    IDLOG_RETURN_NOT_OK(run_round(std::move(tasks), round));
     if (ctx.stats != nullptr) ++ctx.stats->iterations;
     if (ctx.governor != nullptr) {
       IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
     }
-    replace_delta(std::move(next_delta));
     uint64_t new_facts = 0;
-    for (const auto& [pred, rel] : delta) {
-      (void)pred;
-      new_facts += rel.size();
+    for (auto it = next.begin(); it != next.end();) {
+      const size_t size = own.at(it->first)->size();
+      new_facts += size - it->second;
+      it = size == it->second ? next.erase(it) : std::next(it);
     }
+    set_marks(std::move(next));
     if (round_log != nullptr) {
       round_log->new_facts_per_round.push_back(new_facts);
     }
@@ -376,10 +372,15 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                            static_cast<int64_t>(round),
                            static_cast<int64_t>(new_facts));
     round_span.AddArg(TraceArg::Num("new_facts", new_facts));
-    if (!any) return Status::OK();
-    if (on_round != nullptr) IDLOG_RETURN_NOT_OK(on_round(round, delta));
+    if (marks.empty()) return Status::OK();
+    if (on_round != nullptr) {
+      FixpointFrame frame;
+      frame.stratum = ctx.stratum;
+      frame.round = round;
+      frame.in_stratum = true;
+      IDLOG_RETURN_NOT_OK(on_round(frame, marks));
+    }
     round0 = false;
-    filter = &stratum_preds;
   }
 }
 

@@ -2,41 +2,29 @@
 #define IDLOG_EVAL_STRATUM_EVAL_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "eval/resume_state.h"
 #include "eval/rule_eval.h"
 #include "eval/rule_plan.h"
-#include "storage/relation.h"
 
 namespace idlog {
 
 /// Where EvaluateStratum picks a stratum up instead of at round 0: after
-/// round `round`, whose committed delta is `delta`. A checkpoint resume
-/// gives the frame's round and delta; an incremental pass gives the
-/// completed run as round 0 and the change set as its delta. The first
-/// differentiated round also scans the deltas of `extra_preds` —
-/// predicates changed outside this stratum, which the stratum's own
-/// filter never touches; later rounds narrow back to the stratum's own
-/// predicates.
+/// round `round`, whose delta `marks` names. The first differentiated
+/// round scans every marked predicate; later rounds narrow back to the
+/// stratum's own predicates. A checkpoint resume marks the frame's
+/// delta, the stratum's own predicates only; an incremental pass gives
+/// the completed run as round 0 and marks the change's whole taint
+/// closure at its sizes when the pass started, so a stratum also sees
+/// the growth of the strata below it.
 struct StratumStart {
   uint64_t round = 0;
-  std::map<std::string, Relation> delta;
-  std::set<std::string> extra_preds;
+  DeltaMarks marks;
 };
-
-/// Called at every round boundary inside a stratum — after Commit() moved
-/// the round's new facts into the full relations and the delta was
-/// swapped, when another round follows — the one point where derived
-/// relations, deltas and stats are mutually consistent and a checkpoint
-/// frame can be cut. A non-OK return aborts the evaluation (a checkpoint
-/// that cannot be written is an error the caller must see).
-using RoundBoundaryHook = std::function<Status(
-    uint64_t round, const std::map<std::string, Relation>& delta)>;
 
 /// Evaluates one stratum to its least fixpoint.
 ///
@@ -50,14 +38,14 @@ using RoundBoundaryHook = std::function<Status(
 /// delta differentiation on intra-stratum positive scans.
 ///
 /// The first round is round 0 (every rule over the full relations)
-/// unless `start` is set; its delta is consumed (moved out).
-/// `on_round`, when set, observes every round boundary inside the
-/// stratum.
+/// unless `start` is set. `on_round`, when set, sees the frame of every
+/// round boundary inside the stratum (`ctx.stratum`) after which
+/// another round follows.
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& ctx, RelationSlots slots,
-                       bool seminaive, StratumStart* start = nullptr,
-                       const RoundBoundaryHook& on_round = nullptr);
+                       bool seminaive, const StratumStart* start = nullptr,
+                       const CheckpointHook& on_round = nullptr);
 
 }  // namespace idlog
 

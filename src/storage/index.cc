@@ -30,10 +30,10 @@ void RecordIndexBuildEvent(const ColumnIndex& index) {
 }  // namespace
 
 void ColumnIndex::Extend(const std::vector<Tuple>& rows) {
-  for (size_t i = indexed_rows_; i < rows.size(); ++i) {
+  for (size_t i = first_row_ + indexed_rows_; i < rows.size(); ++i) {
     buckets_[ProjectTuple(rows[i], cols_)].push_back(i);
   }
-  indexed_rows_ = rows.size();
+  indexed_rows_ = rows.size() - first_row_;
   RecordIndexBuildEvent(*this);
 }
 

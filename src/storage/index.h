@@ -8,18 +8,19 @@
 
 namespace idlog {
 
-/// A hash index over a column subset of a relation's rows. Maps a key
-/// (the projection of a row onto `cols`) to the positions holding it.
-/// The index keeps no pointer to the rows: its owner (Relation) hands
-/// them to Extend and drops the index whenever rows stop being
-/// append-only, so the rows indexed so far are always a prefix of the
-/// owner's current rows.
+/// A hash index over a column subset of a relation's rows from
+/// `first_row` on. Maps a key (the projection of a row onto `cols`) to
+/// the positions holding it. The index keeps no pointer to the rows: its
+/// owner hands them to Extend and drops the index whenever rows stop
+/// being append-only, so the rows indexed so far are always a prefix of
+/// the owner's current rows from `first_row` on.
 class ColumnIndex {
  public:
-  explicit ColumnIndex(std::vector<int> cols) : cols_(std::move(cols)) {}
+  explicit ColumnIndex(std::vector<int> cols, size_t first_row = 0)
+      : cols_(std::move(cols)), first_row_(first_row) {}
 
   /// Indexes the rows appended since the last call, i.e. positions
-  /// [num_entries(), rows.size()).
+  /// [first_row + num_entries(), rows.size()).
   void Extend(const std::vector<Tuple>& rows);
 
   /// Returns row positions matching `key` (projected values in `cols`
@@ -43,6 +44,7 @@ class ColumnIndex {
 
  private:
   std::vector<int> cols_;
+  size_t first_row_ = 0;
   size_t indexed_rows_ = 0;
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash> buckets_;
 };

@@ -1,5 +1,6 @@
 #include "store/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "store/atomic_file.h"
@@ -78,18 +79,24 @@ void PutTuple(std::string* out, const Tuple& t) {
   }
 }
 
-void PutRelation(std::string* out, const Relation& rel) {
+/// Writes `rel`'s type, its rows from `first` on and the two counters.
+void PutRows(std::string* out, const Relation& rel, size_t first,
+             uint64_t version, uint64_t clear_generation) {
   const RelationType& type = rel.type();
   PutU32(out, static_cast<uint32_t>(type.size()));
   for (Sort s : type) PutU8(out, static_cast<uint8_t>(s));
   // Insertion order, deliberately: canonical tid assignment and index
   // bucket order both follow it, so a resumed run must reproduce it.
-  PutU64(out, rel.size());
-  for (const Tuple& t : rel.tuples()) PutTuple(out, t);
+  PutU64(out, rel.size() - first);
+  for (size_t r = first; r < rel.size(); ++r) PutTuple(out, rel.tuples()[r]);
+  PutU64(out, version);
+  PutU64(out, clear_generation);
+}
+
+void PutRelation(std::string* out, const Relation& rel) {
   // Logical change counters: db-stats reports them, so a recovered run
   // must see the same values an uninterrupted one would.
-  PutU64(out, rel.version());
-  PutU64(out, rel.clear_generation());
+  PutRows(out, rel, 0, rel.version(), rel.clear_generation());
 }
 
 void PutStats(std::string* out, const EvalStats& s) {
@@ -336,24 +343,29 @@ Status ExpectConsumed(const Reader& r) {
 
 // ---- semantic invariants -------------------------------------------
 
-Status CheckInvariants(const SnapshotData& snap) {
-  // Delta tuples were committed: each must already be present in its
-  // derived relation (Commit inserts into the full relation first).
-  for (const auto& [pred, delta_rel] : snap.eval.delta) {
-    auto it = snap.eval.derived.find(pred);
-    if (it == snap.eval.derived.end()) {
-      return Status::InvalidArgument(
-          "snapshot fails invariant: delta relation '" + pred +
-          "' has no derived relation");
-    }
-    for (const Tuple& t : delta_rel.tuples()) {
-      if (!it->second.Contains(t)) {
-        return Status::InvalidArgument(
-            "snapshot fails invariant: delta tuple of '" + pred +
-            "' missing from its derived relation");
-      }
-    }
+/// The mark of a DELTA entry. A round's new facts are the last rows of
+/// its derived relation, so the entry must equal them, in order, or a
+/// resume would differentiate on facts the round did not make new.
+Result<size_t> DeltaMark(const SnapshotData& snap, const std::string& pred,
+                         const Relation& delta) {
+  auto it = snap.eval.derived.find(pred);
+  if (it == snap.eval.derived.end()) {
+    return Status::InvalidArgument(
+        "snapshot fails invariant: delta relation '" + pred +
+        "' has no derived relation");
   }
+  const std::vector<Tuple>& rows = it->second.tuples();
+  if (delta.size() > rows.size() ||
+      !std::equal(delta.tuples().begin(), delta.tuples().end(),
+                  rows.end() - static_cast<std::ptrdiff_t>(delta.size()))) {
+    return Status::InvalidArgument(
+        "snapshot fails invariant: delta of '" + pred +
+        "' is not the tail of its derived relation");
+  }
+  return rows.size() - delta.size();
+}
+
+Status CheckInvariants(const SnapshotData& snap) {
   // ID-relation tuples project (tid removed) onto their base relation.
   // The materialization may be a prefix (tid-bound pushdown), so subset
   // is the right check, not equality.
@@ -462,9 +474,12 @@ std::string SerializeSnapshot(const SnapshotView& view) {
     size_t n = view.delta != nullptr ? view.delta->size() : 0;
     PutU32(&delta, static_cast<uint32_t>(n));
     if (view.delta != nullptr) {
-      for (const auto& [name, rel] : *view.delta) {
+      // Each marked tail as a relation of just those rows (version =
+      // row count, clear generation 0), the bytes the format defines.
+      for (const auto& [name, mark] : *view.delta) {
+        const Relation& rel = view.derived->at(name);
         PutStr(&delta, name);
-        PutRelation(&delta, rel);
+        PutRows(&delta, rel, mark, rel.size() - mark, 0);
       }
     }
     PutSection(&out, kSectionDelta, delta);
@@ -726,8 +741,6 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
       }
       case kSectionDerived:
       case kSectionDelta: {
-        auto* target =
-            tag == kSectionDerived ? &snap.eval.derived : &snap.eval.delta;
         uint32_t nrel = 0;
         IDLOG_RETURN_NOT_OK(r.U32(&nrel));
         for (uint32_t i = 0; i < nrel; ++i) {
@@ -736,7 +749,14 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
           Relation rel;
           IDLOG_RETURN_NOT_OK(
               ReadRelation(&r, snap.symbols.size(), with_counters, &rel));
-          if (!target->emplace(name, std::move(rel)).second) {
+          bool added = false;
+          if (tag == kSectionDerived) {
+            added = snap.eval.derived.emplace(name, std::move(rel)).second;
+          } else {
+            IDLOG_ASSIGN_OR_RETURN(size_t mark, DeltaMark(snap, name, rel));
+            added = snap.eval.delta.emplace(name, mark).second;
+          }
+          if (!added) {
             return Status::InvalidArgument(
                 "snapshot corrupt: relation '" + name + "' appears twice");
           }

@@ -80,7 +80,7 @@ struct SnapshotView {
   const std::map<std::string, Relation>* derived = nullptr;
   const std::map<std::pair<std::string, std::vector<int>>, Relation>*
       id_relations = nullptr;
-  const std::map<std::string, Relation>* delta = nullptr;  ///< May be null.
+  const DeltaMarks* delta = nullptr;  ///< Marks into `derived`; may be null.
   const EvalStats* stats = nullptr;
   const PlanAnalysis* analysis = nullptr;  ///< May be null.
   const EvalProfile* profile = nullptr;    ///< May be null.
@@ -113,8 +113,8 @@ std::string SerializeSnapshot(const SnapshotView& view);
 
 /// Decodes a snapshot byte string, checking magic, version, section
 /// framing and CRCs, plus semantic invariants (symbol ids in range,
-/// delta tuples committed in their derived relations, ID-relation
-/// tuples consistent with their bases).
+/// each DELTA equal to the last rows of its derived relation, in order,
+/// ID-relation tuples consistent with their bases).
 Result<SnapshotData> ParseSnapshot(std::string_view bytes);
 
 /// Reads and decodes the snapshot at `path`.

@@ -571,10 +571,10 @@ void ExpectSweepMatchesBaseline(
   }
 }
 
-// The E7 bench shape: a single recursive transitive-closure rule with
-// the recursive subgoal outermost, where splitting the delta is the
-// only parallelism available. Branchy edges so the parts overlap in the
-// heads they derive.
+// The tc_parallel workload's shape: a single recursive transitive-
+// closure rule with the recursive subgoal outermost, where splitting
+// the delta is the only parallelism available. Branchy edges so the
+// parts overlap in the heads they derive.
 TEST(JobsSweep, SingleRecursiveRuleTransitiveClosure) {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 14; ++i) {
@@ -695,7 +695,8 @@ TEST(DeltaRanges, PartsConcatenateToTheSerialStaging) {
   }
 
   // A branchy random graph, so distinct delta rows derive the same
-  // heads. The delta is round 0's path: the edges themselves.
+  // heads. The delta is round 0's path: the edges themselves, i.e. all
+  // of path's rows from row 0 on.
   const RelationType type = {Sort::kI, Sort::kI};
   Relation edge(type);
   std::mt19937 rng(7);
@@ -703,19 +704,18 @@ TEST(DeltaRanges, PartsConcatenateToTheSerialStaging) {
     edge.Insert({Value::Number(rng() % 20), Value::Number(rng() % 20)});
   }
   Relation path = edge;
-  Relation delta = edge;
   const size_t n = program->predicates.size();
   RelationSlots slots;
   slots.full.assign(n, nullptr);
   slots.derived.assign(n, nullptr);
-  slots.delta.assign(n, nullptr);
+  slots.delta.assign(n, DeltaSlot());
   const size_t path_slot = static_cast<size_t>(plan.head);
   const size_t edge_slot =
       static_cast<size_t>(program->FindPredicate("edge"));
   slots.full[path_slot] = &path;
   slots.full[edge_slot] = &edge;
   slots.derived[path_slot] = &path;
-  slots.delta[path_slot] = &delta;
+  slots.delta[path_slot].mark = 0;
 
   std::vector<std::string> serial =
       StagedByPart(plan, slots, &path, 1).front();

@@ -458,6 +458,106 @@ TEST(SnapshotLyingCount, ScriptedAssignerLists) {
 }
 
 // --------------------------------------------------------------------
+// The DELTA section of a mid-stratum frame. A round's new facts are the
+// last rows of its derived relation, so a resume reads them as that
+// tail; the decoder must refuse any DELTA that is not exactly the tail,
+// or the resumed fixpoint differentiates on the wrong facts and ends in
+// a wrong model with no error.
+
+constexpr uint32_t kDerivedTag = 4;
+constexpr uint32_t kDeltaTag = 6;
+
+/// A frame cut mid-stratum: chain TC over n0..n30, tripped after five
+/// rounds, so DELTA holds the paths of length five.
+std::string MidStratumFrameBytes(ScratchDir* scratch) {
+  const std::string snap = scratch->Path("mid.snap");
+  IdlogEngine tripper;
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_TRUE(tripper
+                    .AddRow("edge", {"n" + std::to_string(i),
+                                     "n" + std::to_string(i + 1)})
+                    .ok());
+  }
+  EXPECT_TRUE(tripper
+                  .LoadProgramText("tc(X, Y) :- edge(X, Y).\n"
+                                   "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n")
+                  .ok());
+  EvalLimits limits;
+  limits.max_iterations = 5;
+  tripper.SetLimits(limits);
+  tripper.SetPartialResults(true);
+  tripper.SetCheckpoint(snap);
+  EXPECT_TRUE(tripper.Run().ok());
+  EXPECT_EQ(tripper.last_trip().code(), StatusCode::kResourceExhausted);
+  const std::string bytes = Slurp(snap);
+  auto data = ParseSnapshot(bytes);
+  EXPECT_TRUE(data.ok()) << data.status().ToString();
+  if (data.ok()) {
+    EXPECT_TRUE(data->eval.frame.in_stratum);
+    EXPECT_EQ(data->eval.delta.count("tc"), 1u);
+  }
+  return bytes;
+}
+
+// Positions the cursor at the first row of relation `name` in a DERIVED
+// or DELTA payload (name, arity, sorts and row count precede the rows).
+size_t FirstRowOf(Cursor* c, const std::string& name) {
+  for (uint64_t n = c->Read(4); n > 0; --n) {
+    const uint64_t len = c->Read(4);
+    const std::string entry = c->payload.substr(c->pos, len);
+    c->Skip(len);
+    const uint64_t arity = c->Read(4);
+    c->Skip(arity);
+    const uint64_t rows = c->Read(8);
+    if (entry == name) return c->pos;
+    c->Skip(rows * arity * 9 + 16);  // values, version, clear generation
+  }
+  ADD_FAILURE() << "no relation " << name;
+  return c->pos;
+}
+
+TEST(SnapshotDelta, NonTailDeltaIsRejected) {
+  ScratchDir scratch("nontail");
+  const std::string bytes = MidStratumFrameBytes(&scratch);
+  // Two-column rows are 18 bytes: a sort byte and a u64 per value.
+  std::string first_derived;
+  EditSection(bytes, kDerivedTag, [&](std::string* p) {
+    Cursor c{*p};
+    first_derived = p->substr(FirstRowOf(&c, "tc"), 18);
+  });
+  ASSERT_EQ(first_derived.size(), 18u);
+  std::string crafted = EditSection(bytes, kDeltaTag, [&](std::string* p) {
+    Cursor c{*p};
+    p->replace(FirstRowOf(&c, "tc"), 18, first_derived);
+  });
+  ASSERT_NE(crafted, bytes);
+  Status st;
+  EXPECT_NO_THROW(st = ParseSnapshot(crafted).status());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("delta of 'tc' is not the tail"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST(SnapshotDelta, DeltaWithoutDerivedRelationIsRejected) {
+  ScratchDir scratch("orphan");
+  const std::string bytes = MidStratumFrameBytes(&scratch);
+  std::string crafted = EditSection(bytes, kDeltaTag, [](std::string* p) {
+    Cursor c{*p};
+    c.Read(4);  // relation count
+    const size_t len = c.Read(4);
+    ASSERT_EQ(p->substr(c.pos, len), "tc");
+    p->replace(c.pos, len, "zz");
+  });
+  Status st;
+  EXPECT_NO_THROW(st = ParseSnapshot(crafted).status());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("delta relation 'zz' has no derived"),
+            std::string::npos)
+      << st.ToString();
+}
+
+// --------------------------------------------------------------------
 // WriteFileAtomic and the outputs built on it.
 
 TEST(AtomicFile, Crc32KnownAnswer) {

@@ -129,6 +129,25 @@ TEST(RelationIndex, ExtendsWithAppendedRows) {
   EXPECT_EQ(*after.Lookup(T(&s, {"b"})), (std::vector<size_t>{2}));
 }
 
+// A delta's index covers only the rows from its first row on, and its
+// postings are row ids of the whole relation.
+TEST(RelationIndex, IndexFromFirstRowPostsRelationRowIds) {
+  SymbolTable s;
+  Relation r(UU());
+  r.Insert(T(&s, {"a", "x"}));
+  r.Insert(T(&s, {"b", "x"}));
+  r.Insert(T(&s, {"a", "y"}));
+  ColumnIndex tail({0}, 1);
+  tail.Extend(r.tuples());
+  EXPECT_EQ(tail.num_entries(), 2u);
+  EXPECT_EQ(*tail.Lookup(T(&s, {"a"})), (std::vector<size_t>{2}));
+  EXPECT_EQ(*tail.Lookup(T(&s, {"b"})), (std::vector<size_t>{1}));
+  r.Insert(T(&s, {"a", "z"}));
+  tail.Extend(r.tuples());
+  EXPECT_EQ(tail.num_entries(), 3u);
+  EXPECT_EQ(*tail.Lookup(T(&s, {"a"})), (std::vector<size_t>{2, 3}));
+}
+
 // Regression: Clear() followed by re-inserts that grow the relation
 // back to (at least) its old row count once let an index keep its
 // pre-Clear buckets, so joins read rows that no longer exist. Clear()
