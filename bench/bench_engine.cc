@@ -188,15 +188,11 @@ void RunParallelSection() {
   bench_util::WriteBenchMetrics("parallel", profiles);
 }
 
-// E5: EXPLAIN ANALYZE overhead. The per-step counters hang off a single
-// pointer the executor null-tests, so with explain off the fixpoint
-// must run at full speed (<2% target); with it on, the price of
-// complete per-step accounting is measured and reported as-is.
-double RunTcTimed(Shape shape, int nodes, int edges, bool explain,
-                  size_t* answer) {
+// One timed semi-naive TC query (E8 times it with the flight recorder
+// disarmed and armed).
+double RunTcTimed(Shape shape, int nodes, int edges, size_t* answer) {
   IdlogEngine engine;
   FillGraph(&engine.database(), shape, nodes, edges, /*seed=*/13);
-  engine.EnableExplain(explain);
   if (!engine.LoadProgramText(kTc).ok()) return 0;
   auto t0 = Clock::now();
   auto q = engine.Query("path");
@@ -204,61 +200,6 @@ double RunTcTimed(Shape shape, int nodes, int edges, bool explain,
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   *answer = q.ok() ? (*q)->size() : 0;
   return ms;
-}
-
-EvalProfile ProfileTc(Shape shape, int nodes, int edges, bool explain) {
-  IdlogEngine engine;
-  FillGraph(&engine.database(), shape, nodes, edges, /*seed=*/13);
-  engine.EnableExplain(explain);
-  engine.EnableProfiling(true);
-  if (!engine.LoadProgramText(kTc).ok()) return {};
-  (void)engine.Query("path");
-  return engine.profile();
-}
-
-void RunExplainSection() {
-  std::printf(
-      "\nE5: EXPLAIN ANALYZE overhead — semi-naive TC, per-step counters "
-      "off vs on (best of 5, no profiling in the timed runs)\n");
-  bench_util::PrintHeader({"graph", "|path|", "off ms", "on ms",
-                           "overhead", "equal", "-", "-"});
-  std::vector<bench_util::LabeledProfile> profiles;
-  struct Config {
-    const char* label;
-    Shape shape;
-    int nodes, edges;
-  };
-  for (const Config& c :
-       {Config{"chain", Shape::kChain, 256, 0},
-        Config{"random", Shape::kRandom, 200, 800}}) {
-    double off = 1e18, on = 1e18;
-    size_t answer_off = 0, answer_on = 0;
-    for (int rep = 0; rep < 5; ++rep) {
-      off = std::min(off,
-                     RunTcTimed(c.shape, c.nodes, c.edges, false,
-                                &answer_off));
-      on = std::min(on, RunTcTimed(c.shape, c.nodes, c.edges, true,
-                                   &answer_on));
-    }
-    double overhead = off > 0 ? (on - off) / off * 100.0 : 0;
-    auto fmt = [](double v) { return std::to_string(v).substr(0, 7); };
-    bench_util::PrintRow(
-        {std::string(c.label) + " " + std::to_string(c.nodes),
-         std::to_string(answer_off), fmt(off), fmt(on),
-         fmt(overhead) + "%", answer_off == answer_on ? "yes" : "NO", "-",
-         "-"});
-    std::string tag = std::string(c.label) + std::to_string(c.nodes);
-    profiles.emplace_back("explain_off_" + tag,
-                          ProfileTc(c.shape, c.nodes, c.edges, false));
-    profiles.emplace_back("explain_on_" + tag,
-                          ProfileTc(c.shape, c.nodes, c.edges, true));
-    Core("E5_explain", tag + ".answer",
-         static_cast<double>(answer_off));
-    Core("E5_explain", tag + ".off_ms", off);
-    Core("E5_explain", tag + ".on_ms", on);
-    Core("E5_explain", tag + ".overhead_pct", overhead);
-  }
-  bench_util::WriteBenchMetrics("explain", profiles);
 }
 
 // E6: provenance overhead. Recording the first derivation of every
@@ -375,10 +316,10 @@ void RunFlightSection() {
     uint64_t events = 0;
     for (int rep = 0; rep < 7; ++rep) {
       FlightRecorder::Instance().Disarm();
-      off = std::min(off, RunTcTimed(c.shape, c.nodes, c.edges, false,
+      off = std::min(off, RunTcTimed(c.shape, c.nodes, c.edges,
                                      &answer_off));
       FlightRecorder::Instance().Arm(1 << 16);
-      on = std::min(on, RunTcTimed(c.shape, c.nodes, c.edges, false,
+      on = std::min(on, RunTcTimed(c.shape, c.nodes, c.edges,
                                    &answer_on));
       events = FlightRecorder::Instance().total_recorded();
       FlightRecorder::Instance().Disarm();
@@ -470,7 +411,6 @@ int main(int argc, char** argv) {
   }
 
   idlog::RunParallelSection();
-  idlog::RunExplainSection();
   idlog::RunProvenanceSection();
   idlog::RunFlightSection();
 

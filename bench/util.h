@@ -44,7 +44,7 @@ bool WriteBenchMetrics(const std::string& name,
                        const std::vector<LabeledProfile>& runs);
 
 /// One scalar of the top-level core report: section (e.g.
-/// "E5_explain"), key (e.g. "chain256.off_ms"), numeric value.
+/// "E8_flight"), key (e.g. "chain256.armed_ms"), numeric value.
 struct CoreMetric {
   std::string section;
   std::string key;

@@ -57,7 +57,6 @@ Status IdlogEngine::LoadProgram(Program program) {
   impl->set_threads(threads_);
   impl->set_trace_sink(trace_);
   impl->set_profiling_enabled(profiling_);
-  impl->set_explain_enabled(explain_);
   impl->set_rewrite_log(rewrite_log_);
   IDLOG_RETURN_NOT_OK(impl->Prepare());
   impl_ = std::move(impl);
@@ -133,7 +132,7 @@ SnapshotView IdlogEngine::CurrentView(
   view.id_relations = &impl_->id_relations();
   view.delta = nullptr;
   view.stats = &impl_->stats();
-  view.analysis = impl_->explain_enabled() ? &impl_->plan_analysis() : nullptr;
+  view.analysis = &impl_->plan_analysis();
   view.profile = impl_->profiling_enabled() ? &impl_->profile() : nullptr;
   view.provenance = provenance_ ? &impl_->provenance() : nullptr;
   view.config = CurrentConfig();
@@ -970,12 +969,6 @@ Result<std::string> IdlogEngine::WhyNotJson(const std::string& pred,
   return RenderWhyNotJson(report);
 }
 
-void IdlogEngine::EnableExplain(bool enabled) {
-  if (explain_ != enabled) ran_ = false;
-  explain_ = enabled;
-  if (impl_ != nullptr) impl_->set_explain_enabled(enabled);
-}
-
 void IdlogEngine::SetRewriteLog(RewriteLog log) {
   rewrite_log_ = std::move(log);
   if (impl_ != nullptr) impl_->set_rewrite_log(rewrite_log_);
@@ -992,8 +985,6 @@ Result<std::string> IdlogEngine::ExplainAnalyze() {
   if (impl_ == nullptr) {
     return Status::InvalidArgument("no program loaded");
   }
-  EnableExplain(true);
-  IDLOG_RETURN_NOT_OK(Run());
   return impl_->ExplainPlanText(/*analyze=*/true);
 }
 
@@ -1001,10 +992,7 @@ Result<std::string> IdlogEngine::ExplainPlanJson(bool analyze) {
   if (impl_ == nullptr) {
     return Status::InvalidArgument("no program loaded");
   }
-  if (!analyze) return impl_->ExplainPlanJson(/*analyze=*/false);
-  EnableExplain(true);
-  IDLOG_RETURN_NOT_OK(Run());
-  return impl_->ExplainPlanJson(/*analyze=*/true);
+  return impl_->ExplainPlanJson(analyze);
 }
 
 const PlanAnalysis& IdlogEngine::plan_analysis() const {

@@ -222,12 +222,6 @@ class IdlogEngine {
   Result<std::string> WhyNotJson(const std::string& pred, const Tuple& tuple,
                                  const WhyBudget& budget = WhyBudget());
 
-  /// Enables EXPLAIN ANALYZE per-step counter collection during Run()
-  /// (off by default; zero cost when off — one pointer test per rule
-  /// evaluation).
-  void EnableExplain(bool enabled);
-  bool explain_enabled() const { return explain_; }
-
   /// Installs rewrite provenance from the opt/ pipeline (MagicSetTransform,
   /// OptimizeForOutput, etc.): when the caller ran rewrite passes before
   /// loading the transformed program, passing their RewriteLog here makes
@@ -242,19 +236,21 @@ class IdlogEngine {
   /// Requires a loaded program; does not run the evaluation.
   Result<std::string> ExplainPlan();
 
-  /// EXPLAIN ANALYZE: enables explain collection, runs if needed, and
-  /// renders the plan tree with per-step runtime counters (rows in /
-  /// scanned / emitted, observed selectivity, index probes) and
-  /// per-stratum fixpoint round sizes.
+  /// EXPLAIN ANALYZE: renders the plan tree with the per-step runtime
+  /// counters (rows in / scanned / emitted, observed selectivity, index
+  /// probes) and per-stratum fixpoint round sizes of the last
+  /// evaluation — a failed or tripped one included. Does not run: call
+  /// Run() (or Query()) first.
   Result<std::string> ExplainAnalyze();
 
   /// The deterministic `idlog-explain-v1` JSON document. With `analyze`,
-  /// enables explain collection and runs first (counters included);
-  /// without, renders the static plan only. Byte-identical across
-  /// --jobs settings for the same program and database.
+  /// carries the counters of the last evaluation, like ExplainAnalyze();
+  /// without, renders the static plan only. Never runs. Byte-identical
+  /// across --jobs settings for the same program and database.
   Result<std::string> ExplainPlanJson(bool analyze);
 
-  /// Per-step counters of the last Run() (empty unless explain enabled).
+  /// Per-step counters of the last evaluation (always collected; empty
+  /// before the first).
   const PlanAnalysis& plan_analysis() const;
 
   /// Storage observability: walks the database, derived/ID-relations
@@ -419,7 +415,6 @@ class IdlogEngine {
   bool tid_bound_pushdown_ = true;
   bool provenance_ = false;
   bool use_indexes_ = true;
-  bool explain_ = false;
   RewriteLog rewrite_log_;
   int threads_ = 1;
   bool ran_ = false;

@@ -258,11 +258,10 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     plan_analysis_.Clear();
   }
 
-  if (explain_ && plan_analysis_.rules.size() != plans_.size()) {
-    // One counter slot per plan step plus the emit pseudo-step; the
-    // executor checks the size before attaching, so sizing here is what
-    // arms collection for this run. A resume whose snapshot carried an
-    // analysis of this program keeps the restored counters instead.
+  if (plan_analysis_.rules.size() != plans_.size()) {
+    // One counter slot per plan step plus the emit pseudo-step. A resume
+    // whose snapshot carried an analysis of this program keeps the
+    // restored counters instead.
     plan_analysis_.rules.assign(plans_.size(), RuleStepStats());
     for (size_t i = 0; i < plans_.size(); ++i) {
       plan_analysis_.rules[i].steps.resize(plans_[i].steps.size() + 1);
@@ -448,7 +447,7 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
   ctx.governor = governor_;
   ctx.trace = trace_;
   ctx.profile = profiling_ ? &profile_ : nullptr;
-  ctx.analyze = explain_ ? &plan_analysis_ : nullptr;
+  ctx.analyze = &plan_analysis_;
   // Parallel stratum execution. Provenance-enabled runs parallelize
   // too: workers record into private per-task stores that the round
   // merge absorbs in serial task order (see stratum_eval.cc).
@@ -591,14 +590,16 @@ Result<bool> EngineImpl::VerifyModel() {
     return Status::InvalidArgument("Prepare() and Evaluate() first");
   }
   RelationSlots slots = FillSlots();
+  RuleStepStats scratch;  // The check's counters are not the run's.
   EvalContext ctx;
+  ctx.counters = &scratch;
   std::vector<BoundStep> bound;
   for (const RulePlan& plan : plans_) {
     const Relation* current = slots.full[static_cast<size_t>(plan.head)];
     if (current == nullptr) return false;
+    scratch.steps.assign(plan.steps.size() + 1, StepCounters());
     IDLOG_RETURN_NOT_OK(BindRule(plan, slots, /*delta_step=*/-1,
-                                 use_indexes_, /*stats=*/nullptr,
-                                 /*step_stats=*/nullptr, &bound));
+                                 use_indexes_, &scratch, &bound));
     Relation derived(current->type());
     IDLOG_RETURN_NOT_OK(EvaluateRuleInto(plan, bound, ctx,
                                          /*delta_step=*/-1, &derived));

@@ -195,14 +195,9 @@ class EngineImpl {
   /// The profile of the last Evaluate() (empty unless enabled).
   const EvalProfile& profile() const { return profile_; }
 
-  /// Enables EXPLAIN ANALYZE per-step counter collection during
-  /// Evaluate() (off by default; same pointer-test contract as the
-  /// profile — one branch per rule evaluation, counters per tuple only
-  /// when on).
-  void set_explain_enabled(bool enabled) { explain_ = enabled; }
-  bool explain_enabled() const { return explain_; }
-
-  /// Per-step counters of the last Evaluate() (empty unless enabled).
+  /// Per-step counters and round logs of the last Evaluate() and the
+  /// passes that extended it, whether it completed or not (always
+  /// collected: they are the executor's only counters).
   const PlanAnalysis& plan_analysis() const { return plan_analysis_; }
 
   /// Installs rewrite provenance carried in from the opt/ pipeline;
@@ -213,8 +208,8 @@ class EngineImpl {
   /// Renders the compiled plans as an EXPLAIN document — the aligned
   /// text tree or the deterministic `idlog-explain-v1` JSON. With
   /// `analyze`, per-step runtime counters and per-stratum round sizes
-  /// of the last Evaluate() are included (requires explain enabled and
-  /// a completed run for meaningful numbers). Requires Prepare().
+  /// of the last Evaluate() are included; nothing is evaluated.
+  /// Requires Prepare().
   Result<std::string> ExplainPlanText(bool analyze) const;
   Result<std::string> ExplainPlanJson(bool analyze) const;
 
@@ -282,7 +277,6 @@ class EngineImpl {
   TraceSink* trace_ = nullptr;
   bool profiling_ = false;
   EvalProfile profile_;
-  bool explain_ = false;
   PlanAnalysis plan_analysis_;
   RewriteLog rewrite_log_;    ///< From the opt/ pipeline (caller-set).
   RewriteLog pushdown_notes_; ///< The engine's own Prepare()-time notes.

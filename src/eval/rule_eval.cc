@@ -10,22 +10,25 @@ namespace idlog {
 
 namespace {
 
+/// The binder and the executor write one counter per plan step plus
+/// the emit pseudo-step.
+Status CheckCounters(const RulePlan& plan, const RuleStepStats* counters) {
+  return counters != nullptr && counters->steps.size() == plan.steps.size() + 1
+             ? Status::OK()
+             : Status::Internal("rule '" + plan.head_pred +
+                                "' needs a counter buffer of steps+1 entries");
+}
+
 /// Recursive nested-loop executor over the plan steps.
 class RuleExecutor {
  public:
   RuleExecutor(const RulePlan& plan, const std::vector<BoundStep>& bound,
                const EvalContext& ctx, int delta_step, Relation* out)
       : plan_(plan), bound_(bound), ctx_(ctx), delta_step_(delta_step),
-        out_(out), slots_(static_cast<size_t>(plan.num_slots)) {
+        out_(out), slots_(static_cast<size_t>(plan.num_slots)),
+        sc_(ctx.counters->steps.data()) {
     if (ctx_.provenance != nullptr) {
       premises_.resize(plan.steps.size());
-    }
-    // EXPLAIN ANALYZE counters: one pointer resolved here, so the
-    // disabled path costs nothing per tuple. The buffer has steps+1
-    // entries (sized by the driver).
-    if (ctx_.step_stats != nullptr &&
-        ctx_.step_stats->steps.size() == plan.steps.size() + 1) {
-      sc_ = ctx_.step_stats->steps.data();
     }
   }
 
@@ -35,12 +38,6 @@ class RuleExecutor {
     if (delta_step_ >= 0) {
       const BoundStep& delta = bound_[static_cast<size_t>(delta_step_)];
       if (delta.begin == delta.end) return Status::OK();
-    }
-    // A partitioned task is one logical rule evaluation split across
-    // K executor runs; partition 0 counts the firing for all of them,
-    // so the sum over partitions equals an unpartitioned run.
-    if (ctx_.stats != nullptr && ctx_.partition_index == 0) {
-      ++ctx_.stats->rule_firings;
     }
     return RunStep(0);
   }
@@ -52,15 +49,14 @@ class RuleExecutor {
 
   Status EmitHead() {
     IDLOG_FAILPOINT("eval.emit.insert");
-    // The emit pseudo-step (index steps.size()): rows_in mirrors
-    // facts_derived. Its rows_emitted, facts_inserted and the governor
+    // The emit pseudo-step (index steps.size()): rows_in is
+    // facts_derived. Its rows_emitted (facts_inserted) and the governor
     // charges for facts and provenance bytes belong to the driver's
     // commit, where "new" is judged against the full relation.
-    if (sc_ != nullptr) ++sc_[plan_.steps.size()].rows_in;
+    ++sc_[plan_.steps.size()].rows_in;
     Tuple t;
     t.reserve(plan_.head_args.size());
     for (const ArgSource& src : plan_.head_args) t.push_back(Resolve(src));
-    if (ctx_.stats != nullptr) ++ctx_.stats->facts_derived;
     if (ctx_.provenance != nullptr) {
       // Interned at first emit, not construction: the store's predicate
       // table must hold exactly the predicates with recorded nodes, in
@@ -112,13 +108,8 @@ class RuleExecutor {
   Status RunStep(size_t i) {
     if (i == plan_.steps.size()) return EmitHead();
     const PlanStep& step = plan_.steps[i];
-    StepCounters* sc = sc_ != nullptr ? &sc_[i] : nullptr;
-    // The partitioned step (always step 0, the delta scan) is entered
-    // once per partition but represents one logical entry; partition 0
-    // counts it, mirroring rule_firings.
-    if (sc != nullptr && (i != 0 || ctx_.partition_index == 0)) {
-      ++sc->rows_in;
-    }
+    StepCounters& sc = sc_[i];
+    ++sc.rows_in;
 
     switch (step.kind) {
       case PlanStep::Kind::kScan: {
@@ -128,33 +119,17 @@ class RuleExecutor {
         const ColumnIndex* index = bound.index;
 
         if (index == nullptr) {
-          // Partitioned delta scan: read only this part's contiguous
-          // row range, so each delta row is charged to exactly one part
-          // and the parts, in index order, emit the serial sequence.
-          // EvaluateStratum only partitions tasks whose delta step is
-          // step 0 with no bound keys, which is precisely this loop.
           const std::vector<Tuple>& rows = rel->tuples();
-          size_t begin = bound.begin;
-          size_t end = bound.end;
-          if (static_cast<int>(i) == delta_step_ && i == 0 &&
-              ctx_.partition_count > 1) {
-            const size_t k = static_cast<size_t>(ctx_.partition_index);
-            const size_t parts = static_cast<size_t>(ctx_.partition_count);
-            const size_t n = bound.end - bound.begin;
-            begin = bound.begin + n * k / parts;
-            end = bound.begin + n * (k + 1) / parts;
-          }
-          for (size_t r = begin; r < end; ++r) {
+          for (size_t r = bound.begin; r < bound.end; ++r) {
             const Tuple& row = rows[r];
-            if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
-            if (sc != nullptr) ++sc->rows_scanned;
+            ++sc.rows_scanned;
             if (ctx_.governor != nullptr) {
               IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
             }
             if (!KeysMatch(step, row)) continue;
             if (!BindRow(step, row)) continue;
             if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
-            if (sc != nullptr) ++sc->rows_emitted;
+            ++sc.rows_emitted;
             IDLOG_RETURN_NOT_OK(RunStep(i + 1));
           }
           return Status::OK();
@@ -165,20 +140,18 @@ class RuleExecutor {
         for (int col : step.key_cols) {
           key.push_back(Resolve(step.sources[static_cast<size_t>(col)]));
         }
-        if (ctx_.stats != nullptr) ++ctx_.stats->index_probes;
-        if (sc != nullptr) ++sc->index_probes;
+        ++sc.index_probes;
         const std::vector<size_t>* rows = index->Lookup(key);
         if (rows == nullptr) return Status::OK();
         for (size_t r : *rows) {
-          if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
-          if (sc != nullptr) ++sc->rows_scanned;
+          ++sc.rows_scanned;
           if (ctx_.governor != nullptr) {
             IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
           }
           const Tuple& row = rel->tuples()[r];
           if (!BindRow(step, row)) continue;
           if (ctx_.provenance != nullptr) RecordScanPremise(i, step, row);
-          if (sc != nullptr) ++sc->rows_emitted;
+          ++sc.rows_emitted;
           IDLOG_RETURN_NOT_OK(RunStep(i + 1));
         }
         return Status::OK();
@@ -189,8 +162,7 @@ class RuleExecutor {
         Tuple probe;
         probe.reserve(step.sources.size());
         for (const ArgSource& src : step.sources) probe.push_back(Resolve(src));
-        if (ctx_.stats != nullptr) ++ctx_.stats->tuples_considered;
-        if (sc != nullptr) ++sc->rows_scanned;
+        ++sc.rows_scanned;
         if (ctx_.governor != nullptr) {
           IDLOG_RETURN_NOT_OK(ctx_.governor->CheckPoint());
         }
@@ -202,7 +174,7 @@ class RuleExecutor {
           p.group = step.group;
           p.tuple = std::move(probe);
         }
-        if (sc != nullptr) ++sc->rows_emitted;
+        ++sc.rows_emitted;
         return RunStep(i + 1);
       }
 
@@ -213,12 +185,12 @@ class RuleExecutor {
           for (const ArgSource& src : step.sources) {
             args.push_back(Resolve(src));
           }
-          if (sc != nullptr) ++sc->rows_scanned;
+          ++sc.rows_scanned;
           if (BuiltinHolds(step.builtin, args)) return Status::OK();
           if (ctx_.provenance != nullptr) {
             RecordBuiltinPremise(i, step, args, /*negated=*/true);
           }
-          if (sc != nullptr) ++sc->rows_emitted;
+          ++sc.rows_emitted;
           return RunStep(i + 1);
         }
         std::vector<std::optional<Value>> args(step.sources.size());
@@ -231,7 +203,7 @@ class RuleExecutor {
         Status st = EnumerateBuiltin(
             step.builtin, args, [&](const std::vector<Value>& solution) {
               if (!inner.ok()) return;
-              if (sc != nullptr) ++sc->rows_scanned;
+              ++sc.rows_scanned;
               if (ctx_.governor != nullptr) {
                 inner = ctx_.governor->CheckPoint();
                 if (!inner.ok()) return;
@@ -251,7 +223,7 @@ class RuleExecutor {
               if (ctx_.provenance != nullptr) {
                 RecordBuiltinPremise(i, step, solution, /*negated=*/false);
               }
-              if (sc != nullptr) ++sc->rows_emitted;
+              ++sc.rows_emitted;
               inner = RunStep(i + 1);
             });
         IDLOG_RETURN_NOT_OK(st);
@@ -296,16 +268,17 @@ class RuleExecutor {
   std::vector<Premise> premises_;
   /// Interned head predicate id (valid only when provenance is on).
   ProvenanceStore::PredId head_pred_id_ = ProvenanceStore::kNoPred;
-  /// EXPLAIN ANALYZE counter array (steps+1 entries, last is the emit
-  /// pseudo-step), or null when analysis is off — see the constructor.
-  StepCounters* sc_ = nullptr;
+  /// The part's counter array (steps+1 entries, last is the emit
+  /// pseudo-step).
+  StepCounters* sc_;
 };
 
 }  // namespace
 
 Status BindRule(const RulePlan& plan, const RelationSlots& slots,
-                int delta_step, bool use_indexes, EvalStats* stats,
-                RuleStepStats* step_stats, std::vector<BoundStep>* bound) {
+                int delta_step, bool use_indexes, RuleStepStats* counters,
+                std::vector<BoundStep>* bound) {
+  IDLOG_RETURN_NOT_OK(CheckCounters(plan, counters));
   bound->assign(plan.steps.size(), BoundStep());
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     const PlanStep& step = plan.steps[i];
@@ -353,14 +326,8 @@ Status BindRule(const RulePlan& plan, const RelationSlots& slots,
     } else {
       b.index = &b.rel->IndexOn(step.key_cols, &built);
     }
-    if (built && stats != nullptr) {
-      ++stats->index_builds;
-      ++stats->index_cache_misses;
-    }
-    if (step_stats != nullptr && step_stats->steps.size() > i) {
-      ++(built ? step_stats->steps[i].index_misses
-               : step_stats->steps[i].index_hits);
-    }
+    ++(built ? counters->steps[i].index_misses
+             : counters->steps[i].index_hits);
   }
   return Status::OK();
 }
@@ -369,6 +336,7 @@ Status EvaluateRuleInto(const RulePlan& plan,
                         const std::vector<BoundStep>& bound,
                         const EvalContext& ctx, int delta_step,
                         Relation* out) {
+  IDLOG_RETURN_NOT_OK(CheckCounters(plan, ctx.counters));
   RuleExecutor executor(plan, bound, ctx, delta_step, out);
   return executor.Run();
 }

@@ -60,6 +60,8 @@ struct BoundStep {
 
 /// Runtime environment a rule executes in.
 struct EvalContext {
+  /// Engine totals. Only the stratum driver writes them, from the
+  /// per-step counters it folds at commit; the executor never does.
   EvalStats* stats = nullptr;
 
   /// Resource budgets (deadline, tuples, memory, iterations) and the
@@ -81,38 +83,24 @@ struct EvalContext {
   /// commits them in serial order.
   ThreadPool* pool = nullptr;
 
-  /// The slice of the delta one executor run reads (set by the round
-  /// executor on part contexts). When partition_count > 1 the delta
-  /// scan — which eligibility restricts to plan step 0 — reads only the
-  /// contiguous rows [n·index/count, n·(index+1)/count) of its n
-  /// delta rows. Run in index order, the parts emit exactly the serial
-  /// emission sequence, and their per-row counters sum to an
-  /// unpartitioned run. Partitions > 0 also suppress the
-  /// once-per-evaluation counters (rule_firings, the delta step's
-  /// rows_in), which partition 0 counts on behalf of the task.
-  int partition_index = 0;
-  int partition_count = 1;
-
-  /// Observability (both null by default — the fast path is a pointer
-  /// test per *rule evaluation*, never per tuple). `trace` receives one
-  /// complete span per rule evaluation and per fixpoint round; `profile`
-  /// accumulates per-rule counter deltas and self time, attributed by
-  /// clause index. `stats` must be set for attribution to happen.
+  /// Driver-side observers (null by default; attribution is per rule
+  /// evaluation, never per tuple). `trace` receives one complete span
+  /// per rule evaluation and per fixpoint round; `profile` accumulates
+  /// per-rule counters and self time, attributed by clause index;
+  /// `analyze` is the engine-owned PlanAnalysis (one RuleStepStats per
+  /// clause, sized steps+1) that the driver adds every task's folded
+  /// counters to, plus each stratum's round log.
   TraceSink* trace = nullptr;
   EvalProfile* profile = nullptr;
+  PlanAnalysis* analyze = nullptr;
   /// Stratum currently evaluating (labels trace events; -1 outside).
   int stratum = -1;
 
-  /// EXPLAIN ANALYZE per-step counters (both null by default — the fast
-  /// path is one pointer test per rule evaluation, the same contract as
-  /// trace/profile). `analyze` is the engine-owned PlanAnalysis, with
-  /// one RuleStepStats per clause sized steps+1 (the extra entry is the
-  /// emit pseudo-step), which the stratum driver fills. The executor
-  /// only sees `step_stats`, its part's private buffer; the driver
-  /// merges the buffers in serial task order and fills the emit step's
-  /// rows_emitted at that merge, exactly like EvalStats::facts_inserted.
-  PlanAnalysis* analyze = nullptr;
-  RuleStepStats* step_stats = nullptr;
+  /// The only counters the executor writes: one StepCounters per plan
+  /// step plus the emit pseudo-step (steps+1 entries; the round
+  /// executor gives every part its own). The emit entry's rows_in is
+  /// facts_derived; its rows_emitted is left 0 for the driver's commit.
+  RuleStepStats* counters = nullptr;
 
   /// When set, the first derivation of every new fact is recorded
   /// (clause index + matched premises). `symbols` is only consulted for
@@ -127,20 +115,21 @@ struct EvalContext {
 /// non-ID scan) reads only its delta's rows — the semi-naive
 /// differentiation hook — and a delta that starts past the end of its
 /// relation is an Internal error. An index built or extended here
-/// counts in `stats` (index_builds, index_cache_misses) and as the
-/// step's index_misses in `step_stats`; an index already current counts
-/// as an index_hit. Both may be null. Call on one thread while no rule
-/// executes: binding is the only place indexes change during
-/// evaluation, and executors only read what was bound.
+/// counts as the step's index_misses in `counters` (steps+1 entries,
+/// else Internal); an index already current counts as an index_hit.
+/// Call on one thread while no rule executes: binding is the only
+/// place indexes change during evaluation, and executors only read what
+/// was bound.
 Status BindRule(const RulePlan& plan, const RelationSlots& slots,
-                int delta_step, bool use_indexes, EvalStats* stats,
-                RuleStepStats* step_stats, std::vector<BoundStep>* bound);
+                int delta_step, bool use_indexes, RuleStepStats* counters,
+                std::vector<BoundStep>* bound);
 
 /// Evaluates one rule bottom-up over the relations BindRule resolved
 /// for the same `delta_step`, staging derived head tuples into `out`.
-/// Whether a staged tuple is new, and what that costs, is for the
-/// caller to decide against the full relation (the stratum driver's
-/// commit).
+/// Counts into `ctx.counters`, which must hold steps+1 entries (else
+/// Internal). Whether a staged tuple is new, and what that costs, is
+/// for the caller to decide against the full relation (the stratum
+/// driver's commit).
 Status EvaluateRuleInto(const RulePlan& plan,
                         const std::vector<BoundStep>& bound,
                         const EvalContext& ctx, int delta_step,

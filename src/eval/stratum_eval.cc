@@ -17,6 +17,26 @@ namespace {
 /// fanning out (below it the per-partition setup outweighs the scan).
 constexpr uint64_t kMinPartitionRows = 2;
 
+/// The engine totals of one task's folded counters: what EvalStats, the
+/// rule's profile row and its trace span report.
+EvalStats TotalsOf(const RulePlan& plan, const RuleStepStats& counters) {
+  EvalStats t;
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const StepCounters& c = counters.steps[i];
+    // Built-ins enumerate solutions, not stored tuples.
+    if (plan.steps[i].kind != PlanStep::Kind::kBuiltin) {
+      t.tuples_considered += c.rows_scanned;
+    }
+    t.index_probes += c.index_probes;
+    t.index_builds += c.index_misses;
+  }
+  t.index_cache_misses = t.index_builds;
+  t.rule_firings = counters.steps.front().rows_in;
+  t.facts_derived = counters.steps.back().rows_in;
+  t.facts_inserted = counters.steps.back().rows_emitted;
+  return t;
+}
+
 }  // namespace
 
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
@@ -58,7 +78,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                 slots.derived[static_cast<size_t>(plan->head)]);
   }
 
-  // EXPLAIN ANALYZE: record this stratum's per-round delta sizes. The
+  // This stratum's per-round delta sizes, for EXPLAIN ANALYZE. The
   // series is a logical quantity (fixpoint contents are deterministic),
   // so it is identical across --jobs settings. A resumed or incremental
   // pass extends the stratum's existing log.
@@ -121,13 +141,8 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     for (RoundTask& task : tasks) {
       task.head = slots.derived[static_cast<size_t>(task.plan->head)];
       task.parts.resize(static_cast<size_t>(task.partitions));
-      for (size_t p = 0; p < task.parts.size(); ++p) {
-        RoundPart& part = task.parts[p];
-        part.partition = static_cast<int>(p);
+      for (RoundPart& part : task.parts) {
         part.staged = Relation(task.head->type());
-        if (ctx.analyze != nullptr) {
-          part.step_stats.steps.resize(task.plan->steps.size() + 1);
-        }
       }
     }
     IDLOG_RETURN_NOT_OK(RunRoundTasks(ctx, slots, &tasks));
@@ -163,33 +178,23 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                                    ? fail_part
                                    : task.parts.size() - 1;
 
-      // Fold the parts' private counters into the shared stats; a
-      // partitioned task's parts counted disjoint delta slices, so the
-      // sum is exactly what one unpartitioned evaluation would count.
-      EvalStats task_stats;
-      uint64_t task_self_ns = 0;
-      for (size_t pi = 0; pi <= last_part; ++pi) {
-        task_stats += task.parts[pi].stats;
+      // One fold per task, which everything the task reports reads. The
+      // parts read disjoint delta ranges, so each sum is what one
+      // unpartitioned evaluation counts — but every part enters step 0,
+      // which that evaluation enters once: its rows_in, the task's
+      // firing, is capped at 1. All totals but facts_inserted are added
+      // before the commit, whose governor trip message reports them.
+      RuleStepStats counters = std::move(task.parts.front().counters);
+      uint64_t task_self_ns = task.parts.front().self_ns;
+      for (size_t pi = 1; pi <= last_part; ++pi) {
+        const std::vector<StepCounters>& src = task.parts[pi].counters.steps;
+        for (size_t k = 0; k < src.size(); ++k) counters.steps[k] += src[k];
         task_self_ns += task.parts[pi].self_ns;
       }
-      if (ctx.stats != nullptr) *ctx.stats += task_stats;
-
-      // Per-step counters, still in deterministic task order. The emit
-      // pseudo-step's rows_emitted is filled from the commit below.
-      bool have_analyze_row =
-          ctx.analyze != nullptr && task.plan->clause_index >= 0 &&
-          static_cast<size_t>(task.plan->clause_index) <
-              ctx.analyze->rules.size();
-      if (have_analyze_row) {
-        auto& dst = ctx.analyze
-                        ->rules[static_cast<size_t>(task.plan->clause_index)]
-                        .steps;
-        for (size_t pi = 0; pi <= last_part; ++pi) {
-          const auto& src = task.parts[pi].step_stats.steps;
-          if (dst.size() != src.size()) continue;
-          for (size_t k = 0; k < src.size(); ++k) dst[k] += src[k];
-        }
-      }
+      counters.steps.front().rows_in =
+          std::min<uint64_t>(counters.steps.front().rows_in, 1);
+      EvalStats totals = TotalsOf(*task.plan, counters);
+      if (ctx.stats != nullptr) *ctx.stats += totals;
 
       // Commit: insert this task's staged tuples into the full
       // relation, part after part — the parts read consecutive delta
@@ -223,12 +228,15 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                                  static_cast<int64_t>(round));
         }
       }
+      counters.steps.back().rows_emitted = inserted;
+      totals.facts_inserted = inserted;
       if (ctx.stats != nullptr) ctx.stats->facts_inserted += inserted;
-      if (have_analyze_row) {
-        auto& dst = ctx.analyze
-                        ->rules[static_cast<size_t>(task.plan->clause_index)]
-                        .steps;
-        if (!dst.empty()) dst.back().rows_emitted += inserted;
+      const size_t clause = static_cast<size_t>(task.plan->clause_index);
+      if (ctx.analyze != nullptr && clause < ctx.analyze->rules.size()) {
+        std::vector<StepCounters>& dst = ctx.analyze->rules[clause].steps;
+        if (dst.size() == counters.steps.size()) {
+          for (size_t k = 0; k < dst.size(); ++k) dst[k] += counters.steps[k];
+        }
       }
 
       // Absorb the parts' private derivations, still in (task,
@@ -248,16 +256,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         }
       }
 
-      if (ctx.profile != nullptr && task.plan->clause_index >= 0 &&
-          static_cast<size_t>(task.plan->clause_index) <
-              ctx.profile->rules.size()) {
-        RuleProfile& rp =
-            ctx.profile->rules[static_cast<size_t>(task.plan->clause_index)];
+      if (ctx.profile != nullptr && clause < ctx.profile->rules.size()) {
+        RuleProfile& rp = ctx.profile->rules[clause];
         ++rp.evals;
-        rp.firings += task_stats.rule_firings;
-        rp.tuples_considered += task_stats.tuples_considered;
-        rp.facts_derived += task_stats.facts_derived;
-        rp.facts_inserted += inserted;
+        rp.firings += totals.rule_firings;
+        rp.tuples_considered += totals.tuples_considered;
+        rp.facts_derived += totals.facts_derived;
+        rp.facts_inserted += totals.facts_inserted;
         rp.self_ns += task_self_ns;
       }
 
@@ -278,10 +283,9 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           // are part of the byte-identical --jobs contract, and the
           // fanout is physical scheduling detail like thread ids.
         }
-        args.push_back(
-            TraceArg::Num("considered", task_stats.tuples_considered));
-        args.push_back(TraceArg::Num("derived", task_stats.facts_derived));
-        args.push_back(TraceArg::Num("inserted", inserted));
+        args.push_back(TraceArg::Num("considered", totals.tuples_considered));
+        args.push_back(TraceArg::Num("derived", totals.facts_derived));
+        args.push_back(TraceArg::Num("inserted", totals.facts_inserted));
         if (failed && ti == fail_task) {
           args.push_back(TraceArg::Str("status", round_error.ToString()));
         }
@@ -355,9 +359,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                            static_cast<int64_t>(tasks.size()));
     IDLOG_RETURN_NOT_OK(run_round(std::move(tasks), round));
     if (ctx.stats != nullptr) ++ctx.stats->iterations;
-    if (ctx.governor != nullptr) {
-      IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
-    }
     uint64_t new_facts = 0;
     for (auto it = next.begin(); it != next.end();) {
       const size_t size = own.at(it->first)->size();
@@ -372,6 +373,12 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                            static_cast<int64_t>(round),
                            static_cast<int64_t>(new_facts));
     round_span.AddArg(TraceArg::Num("new_facts", new_facts));
+    // Charged once the round is logged, so a round that trips the
+    // iteration budget still shows in EXPLAIN, the trace and the flight
+    // recorder, like every round `iterations` counts.
+    if (ctx.governor != nullptr) {
+      IDLOG_RETURN_NOT_OK(ctx.governor->OnIteration());
+    }
     if (marks.empty()) return Status::OK();
     if (on_round != nullptr) {
       FixpointFrame frame;

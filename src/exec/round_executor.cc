@@ -34,9 +34,9 @@ Status CatchAsStatus(const char* what, Fn&& fn) {
   }
 }
 
-/// Evaluates one part: sets up the part-private context (counters,
-/// per-step buffer, provenance store, partition slice) and converts any
-/// escaping exception into the part's Status.
+/// Evaluates one part: sets up the part-private context (counters and
+/// provenance store) and converts any escaping exception into the
+/// part's Status.
 void RunPart(const EvalContext& base_ctx, const RoundTask& task,
              RoundPart* part, std::atomic<bool>* abort) {
   if (abort->load(std::memory_order_relaxed)) {
@@ -44,29 +44,25 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
     return;
   }
   EvalContext ctx = base_ctx;
-  ctx.stats = &part->stats;
-  // Observability attribution happens in the driver's deterministic
-  // merge; parts only measure, into private counters and a private
-  // per-step buffer, and never touch the shared trace, profile or
-  // analysis.
+  // Attribution happens in the driver's deterministic fold; parts only
+  // count, into their private buffer, and never touch the shared
+  // totals, trace, profile or analysis.
+  ctx.stats = nullptr;
   ctx.trace = nullptr;
   ctx.profile = nullptr;
   ctx.analyze = nullptr;
-  ctx.step_stats =
-      part->step_stats.steps.empty() ? nullptr : &part->step_stats;
+  ctx.counters = &part->counters;
   // Derivations go to the part's private store; the driver absorbs them
   // in (task, partition) order (first-derivation-wins), so the final
   // store matches a serial run byte-for-byte.
   if (base_ctx.provenance != nullptr) ctx.provenance = &part->prov;
-  ctx.partition_index = part->partition;
-  ctx.partition_count = task.partitions;
   if (base_ctx.trace != nullptr) part->start_us = base_ctx.trace->NowUs();
   auto t0 = std::chrono::steady_clock::now();
   part->status = CatchAsStatus("round task", [&] {
     if (Failpoints::AnyArmed()) {
       IDLOG_RETURN_NOT_OK(Failpoints::Instance().OnHit("exec.round.task"));
     }
-    return EvaluateRuleInto(*task.plan, task.bound, ctx, task.delta_step,
+    return EvaluateRuleInto(*task.plan, part->bound, ctx, task.delta_step,
                             &part->staged);
   });
   part->self_ns = static_cast<uint64_t>(
@@ -87,19 +83,36 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
   // Bind every task here, before any part runs: each step's relation
   // comes from the slots and each index a keyed scan probes is built or
   // extended now, on this thread, so no part ever mutates an index. The
-  // bind statistics go to the first part, whose counters the driver
+  // bind counters go to the first part, whose counters the driver
   // always folds in for a task it reaches.
   size_t total_parts = 0;
   for (RoundTask& task : *tasks) {
-    RoundPart& first = task.parts.front();
+    for (RoundPart& part : task.parts) {
+      part.counters.steps.assign(task.plan->steps.size() + 1,
+                                 StepCounters());
+    }
     IDLOG_RETURN_NOT_OK(CatchAsStatus("round task bind", [&] {
-      return BindRule(
-          *task.plan, slots, task.delta_step, base_ctx.use_indexes,
-          &first.stats,
-          first.step_stats.steps.empty() ? nullptr : &first.step_stats,
-          &task.bound);
+      return BindRule(*task.plan, slots, task.delta_step,
+                      base_ctx.use_indexes, &task.parts.front().counters,
+                      &task.bound);
     }));
-    total_parts += task.parts.size();
+    // Of the n delta rows from `first` on, part k of K reads [first +
+    // n·k/K, first + n·(k+1)/K). Only an unkeyed delta scan at step 0
+    // fans out: its serial emission order is delta-row order, so the
+    // parts, in index order, emit exactly the serial sequence.
+    const size_t parts = task.parts.size();
+    if (parts > 1 && (task.delta_step != 0 || task.bound[0].index != nullptr)) {
+      return Status::Internal("only an unkeyed delta scan at step 0 fans out");
+    }
+    for (size_t k = 0; k < parts; ++k) {
+      task.parts[k].bound = task.bound;
+      if (parts == 1) continue;
+      const size_t first = task.bound[0].begin;
+      const size_t n = task.bound[0].end - first;
+      task.parts[k].bound[0].begin = first + n * k / parts;
+      task.parts[k].bound[0].end = first + n * (k + 1) / parts;
+    }
+    total_parts += parts;
   }
 
   // One failed (or throwing) part cancels the round: parts not yet

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "eval/eval_stats.h"
 #include "eval/provenance.h"
 #include "eval/rule_eval.h"
 #include "eval/rule_plan.h"
@@ -14,22 +13,19 @@
 
 namespace idlog {
 
-/// One partition's share of a round task: its private staging, private
+/// One part of a round task: its own binding, private staging, private
 /// counters, private provenance and its status. Unpartitioned tasks
 /// have exactly one part covering the whole delta; part k of K reads
 /// the k-th contiguous row range of it.
 struct RoundPart {
-  int partition = 0;            ///< Partition index in [0, partitions).
+  std::vector<BoundStep> bound; ///< The task's binding with the delta
+                                ///< narrowed to this part's rows (set by
+                                ///< RunRoundTasks).
   Relation staged;              ///< Private output; typed by the driver.
-  EvalStats stats;              ///< Private counters (facts_inserted is
-                                ///< left 0 — Commit computes it against
-                                ///< the full relation).
-  RuleStepStats step_stats;     ///< EXPLAIN ANALYZE per-step counters.
-                                ///< Sized steps+1 by the driver when
-                                ///< analysis is on (empty = off); the
-                                ///< emit entry's rows_emitted is left 0
-                                ///< — Commit fills it, like
-                                ///< facts_inserted.
+  RuleStepStats counters;       ///< Per-step counters, sized steps+1 by
+                                ///< RunRoundTasks; the emit entry's
+                                ///< rows_emitted is left 0 — Commit
+                                ///< decides what is new.
   ProvenanceStore prov;         ///< Private derivations recorded by the
                                 ///< part (uncharged); the driver
                                 ///< absorbs them in (task, partition)
@@ -42,12 +38,12 @@ struct RoundPart {
 
 /// One independent `(rule, delta_step)` evaluation of a fixpoint round,
 /// possibly fanned out into `partitions` sub-evaluations that each read
-/// one contiguous row range of the delta relation. EvaluateStratum
-/// builds the task list in the exact order the serial loop would
-/// evaluate, the executor runs every part, and EvaluateStratum commits
-/// the private results in (task, partition) order — the serial emission
-/// order by construction, which is what makes every `--jobs N`
-/// byte-identical to serial.
+/// one contiguous row range of the delta. EvaluateStratum builds the
+/// task list in the exact order the serial loop would evaluate, the
+/// executor runs every part, and EvaluateStratum commits the private
+/// results in (task, partition) order — the serial emission order by
+/// construction, which is what makes every `--jobs N` byte-identical
+/// to serial.
 struct RoundTask {
   const RulePlan* plan = nullptr;
   int delta_step = -1;          ///< -1 = full evaluation (round 0 / naive).
@@ -56,22 +52,25 @@ struct RoundTask {
   std::vector<RoundPart> parts; ///< Sized `partitions` by the driver.
   Relation* head = nullptr;     ///< The full relation Commit inserts
                                 ///< into (set by the driver).
-  std::vector<BoundStep> bound; ///< Per plan step: relation and index
-                                ///< (set by RunRoundTasks).
+  std::vector<BoundStep> bound; ///< Per plan step: relation, rows and
+                                ///< index, the delta unsplit (set by
+                                ///< RunRoundTasks).
 };
 
 /// Binds every task (BindRule, on the calling thread: each step's
 /// relation from `slots`, each probed index built or extended, bind
-/// counters into the task's first part), then evaluates every part of
-/// every task, each into its private `staged` relation with private
-/// `stats`, and returns when all have finished. With `base_ctx.pool`
-/// set and more than one part, parts run concurrently; otherwise they
-/// run in order on the calling thread. Either way they read only what
-/// was bound, and the relations and indexes stay frozen until the
-/// driver commits. Staged-insert accounting (facts_inserted, emit
-/// rows_emitted, governor OnDerived charges, provenance byte charges)
-/// is the driver's job at Commit, where "new" is judged against the
-/// full relation — the definition that is invariant across jobs. The
+/// counters into the task's first part), gives part k of K a copy of
+/// the binding whose delta reads the k-th contiguous range of its rows,
+/// then evaluates every part of every task, each into its private
+/// `staged` relation and `counters`, and returns when all have
+/// finished. With `base_ctx.pool` set and more than one part, parts run
+/// concurrently; otherwise they run in order on the calling thread.
+/// Either way they read only what was bound, and the relations and
+/// indexes stay frozen until the driver commits. Staged-insert
+/// accounting (emit rows_emitted, governor OnDerived charges,
+/// provenance byte charges) is the driver's job at Commit, where "new"
+/// is judged against the full relation — the definition that is
+/// invariant across jobs. The
 /// shared ResourceGovernor is still probed from all workers (it is
 /// thread-safe), so deadlines and cancellation interrupt long scans.
 /// When `base_ctx.provenance` is set, each part records derivations

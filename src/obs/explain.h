@@ -92,11 +92,12 @@ struct StratumRoundStats {
   std::vector<uint64_t> new_facts_per_round;
 };
 
-/// Everything EXPLAIN ANALYZE collects during one Evaluate(): per-step
+/// Everything EXPLAIN ANALYZE reports of one Evaluate(): per-step
 /// counters per rule (indexed by clause index, sized by the engine) and
 /// per-round delta sizes per stratum. Aggregation is deterministic
-/// under --jobs N: workers count into private RuleStepStats and the
-/// driver merges them in serial task order, exactly like EvalStats.
+/// under --jobs N: workers count into private RuleStepStats, and the
+/// driver folds each task's parts and adds the fold in serial task
+/// order — the same fold EvalStats and the profile are read from.
 struct PlanAnalysis {
   std::vector<RuleStepStats> rules;
   std::vector<StratumRoundStats> strata;

@@ -11,9 +11,9 @@
 namespace idlog {
 
 /// Work and self-time attributed to one program clause across a run.
-/// The counters are deltas of the engine's EvalStats taken around each
-/// rule evaluation, so summing any column over all rules reproduces the
-/// engine-level total exactly.
+/// The counters are read from the same per-task fold of the rule's
+/// per-step counters that the engine's EvalStats are, so summing any
+/// column over all rules reproduces the engine-level total exactly.
 struct RuleProfile {
   int clause_index = -1;
   std::string head_pred;

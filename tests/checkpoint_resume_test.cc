@@ -134,7 +134,6 @@ void ExpectResumeMatchesFullRun(
   IdlogEngine full;
   SeedEdb(&full, edb);
   full.SetThreads(full_jobs);
-  full.EnableExplain(true);
   full.EnableProfiling(true);
   ASSERT_TRUE(full.LoadProgramText(program).ok());
   ASSERT_TRUE(full.Run().ok());
@@ -143,7 +142,6 @@ void ExpectResumeMatchesFullRun(
   IdlogEngine tripper;
   SeedEdb(&tripper, edb);
   tripper.SetThreads(trip_jobs);
-  tripper.EnableExplain(true);
   tripper.EnableProfiling(true);
   ASSERT_TRUE(tripper.LoadProgramText(program).ok());
   EvalLimits limits;
@@ -157,7 +155,6 @@ void ExpectResumeMatchesFullRun(
 
   IdlogEngine resumed;
   resumed.SetThreads(resume_jobs);
-  resumed.EnableExplain(true);
   resumed.EnableProfiling(true);
   ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap_path).ok());
   ASSERT_TRUE(resumed.LoadProgramText(program).ok());
@@ -222,6 +219,44 @@ TEST(CheckpointResume, CrossJobsResume) {
                              scratch.Path("save1.snap"),
                              /*full_jobs=*/4, /*trip_jobs=*/1,
                              /*resume_jobs=*/4, /*trip_iterations=*/10);
+}
+
+// A snapshot always carries the EXPLAIN ANALYZE counters, so a resumed
+// run's counters cover the rounds before the trip too and reconcile
+// with the totals the snapshot restored.
+TEST(CheckpointResume, ResumedCountersReconcile) {
+  ScratchDir scratch("reconcile");
+  const std::string snap = scratch.Path("tc.snap");
+  const std::string program =
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
+  std::vector<std::vector<std::string>> edb;
+  for (int i = 0; i < 40; ++i) {
+    edb.push_back({"edge", "n" + std::to_string(i),
+                   "n" + std::to_string((i * 7 + 1) % 40)});
+    edb.push_back({"edge", "n" + std::to_string(i),
+                   "n" + std::to_string((i + 1) % 40)});
+  }
+
+  IdlogEngine tripper;
+  SeedEdb(&tripper, edb);
+  tripper.EnableProfiling(true);
+  ASSERT_TRUE(tripper.LoadProgramText(program).ok());
+  EvalLimits limits;
+  limits.max_iterations = 4;
+  tripper.SetLimits(limits);
+  tripper.SetPartialResults(true);
+  tripper.SetCheckpoint(snap);
+  ASSERT_TRUE(tripper.Run().ok());
+  ASSERT_FALSE(tripper.last_trip().ok());
+
+  IdlogEngine resumed;
+  resumed.EnableProfiling(true);
+  ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap).ok());
+  ASSERT_TRUE(resumed.LoadProgramText(program).ok());
+  ASSERT_TRUE(resumed.Run().ok());
+  EXPECT_GT(resumed.stats().iterations, 5u);
+  testing_util::ExpectCountersReconcile(resumed);
 }
 
 // --------------------------------------------------------------------

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -119,55 +121,12 @@ TEST(ExplainPlan, EngineRewriteLogIsRenderedWithThePlan) {
 // --------------------------------------------------------------------
 // EXPLAIN ANALYZE counters and the profile sum invariant.
 
-// The ANALYZE counters of everything `engine` evaluated so far
-// reconcile with its profile and its totals.
-void ExpectCountersReconcile(const IdlogEngine& engine) {
-  const PlanAnalysis& analysis = engine.plan_analysis();
-  const EvalProfile& profile = engine.profile();
-  ASSERT_EQ(analysis.rules.size(), profile.rules.size());
-  ASSERT_FALSE(analysis.rules.empty());
-
-  uint64_t total_probes = 0;
-  uint64_t total_emitted = 0;
-  for (size_t i = 0; i < analysis.rules.size(); ++i) {
-    const std::vector<StepCounters>& steps = analysis.rules[i].steps;
-    const RuleProfile& rp = profile.rules[i];
-    ASSERT_FALSE(steps.empty()) << "rule " << i;
-    // The emit pseudo-step bridges to the profile columns exactly.
-    EXPECT_EQ(steps.back().rows_emitted, rp.facts_inserted) << "rule " << i;
-    EXPECT_EQ(steps.back().rows_in, rp.facts_derived) << "rule " << i;
-    // Step 0 is entered once per firing (a non-empty-delta evaluation).
-    EXPECT_EQ(steps.front().rows_in, rp.firings) << "rule " << i;
-    // Counters are monotone through the pipeline: a step can only pass
-    // on bindings it actually enumerated.
-    for (const StepCounters& sc : steps) {
-      EXPECT_LE(sc.rows_emitted, sc.rows_scanned + sc.rows_in);
-      total_probes += sc.index_probes;
-    }
-    total_emitted += steps.back().rows_emitted;
-  }
-  EXPECT_EQ(total_probes, engine.stats().index_probes);
-  EXPECT_EQ(total_emitted, engine.stats().facts_inserted);
-
-  // Every stratum reports its per-round delta sizes, ending at the
-  // fixpoint (strata evaluated in parallel batches still log rounds),
-  // and the logs hold every round the engine ran.
-  ASSERT_FALSE(analysis.strata.empty());
-  uint64_t rounds = 0;
-  for (const StratumRoundStats& s : analysis.strata) {
-    rounds += s.new_facts_per_round.size();
-  }
-  EXPECT_GT(rounds, 0u);
-  EXPECT_EQ(rounds, engine.stats().iterations);
-}
-
 TEST(ExplainAnalyze, CountersReconcileWithProfile) {
   IdlogEngine engine;
-  engine.EnableExplain(true);
   engine.EnableProfiling(true);
   LoadCompany(&engine);
   ASSERT_TRUE(engine.Run().ok());
-  ExpectCountersReconcile(engine);
+  testing_util::ExpectCountersReconcile(engine);
 }
 
 // Incremental insert commits count like any other pass: EXPLAIN ANALYZE
@@ -179,7 +138,6 @@ TEST(ExplainAnalyze, IncrementalCommitsKeepCountersReconciled) {
        ("idlog_explain_test_" + std::to_string(::getpid()) + ".wal"))
           .string();
   IdlogEngine engine;
-  engine.EnableExplain(true);
   engine.EnableProfiling(true);
   for (int i = 0; i < 11; ++i) {
     ASSERT_TRUE(engine
@@ -206,23 +164,74 @@ TEST(ExplainAnalyze, IncrementalCommitsKeepCountersReconciled) {
     prev = node;
   }
   EXPECT_GT(engine.stats().iterations, full_rounds);
-  ExpectCountersReconcile(engine);
+  testing_util::ExpectCountersReconcile(engine);
   std::filesystem::remove(wal);
   std::filesystem::remove(wal + ".snap");
 }
 
-TEST(ExplainAnalyze, DisabledLeavesNoAnalysisAndCountsNothing) {
+// The round that trips the iteration budget has committed and
+// `iterations` counts it, so the round log shows it too. The TC's
+// recursive task fans out at --jobs 4.
+TEST(ExplainAnalyze, IterationTrippedRunReconciles) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    IdlogEngine engine;
+    engine.SetThreads(jobs);
+    engine.EnableProfiling(true);
+    std::mt19937 rng(120);
+    for (int i = 0; i < 300; ++i) {
+      const std::string from = "n" + std::to_string(rng() % 120);
+      const std::string to = "n" + std::to_string(rng() % 120);
+      ASSERT_TRUE(engine.AddRow("edge", {from, to}).ok());
+    }
+    ASSERT_TRUE(engine
+                    .LoadProgramText("path(X, Y) :- edge(X, Y)."
+                                     "path(X, Z) :- path(X, Y), edge(Y, Z).")
+                    .ok());
+    EvalLimits limits;
+    limits.max_iterations = 3;
+    engine.SetLimits(limits);
+    engine.SetPartialResults(true);
+    ASSERT_TRUE(engine.Run().ok());
+    ASSERT_EQ(engine.last_trip().code(), StatusCode::kResourceExhausted)
+        << engine.last_trip().ToString();
+    EXPECT_EQ(engine.stats().iterations, 4u);
+    testing_util::ExpectCountersReconcile(engine);
+  }
+}
+
+// Under random tids a program has many perfect models and each run
+// computes one, so rendering the counters must not evaluate again.
+TEST(ExplainAnalyze, RenderingKeepsTheModel) {
   IdlogEngine engine;
-  LoadCompany(&engine);
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_TRUE(engine.plan_analysis().rules.empty());
-  EXPECT_TRUE(engine.plan_analysis().strata.empty());
+  for (int d = 0; d < 20; ++d) {
+    for (int e = 0; e < 5; ++e) {
+      ASSERT_TRUE(engine
+                      .AddRow("emp", {"e" + std::to_string(d * 5 + e),
+                                      "d" + std::to_string(d)})
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(engine.LoadProgramText("reps(N, D) :- emp[2](N, D, 0).").ok());
+  engine.SetTidAssigner(std::make_unique<RandomTidAssigner>(7));
+  auto before = engine.Query("reps");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const std::string dump = testing_util::Dump(**before, engine.symbols());
+  const EvalStats stats = engine.stats();
+  ASSERT_TRUE(engine.ExplainAnalyze().ok());
+  ASSERT_TRUE(engine.ExplainPlanJson(/*analyze=*/true).ok());
+  auto after = engine.Query("reps");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(testing_util::Dump(**after, engine.symbols()), dump);
+  EXPECT_EQ(engine.stats().iterations, stats.iterations);
+  EXPECT_EQ(engine.stats().eval_wall_ns, stats.eval_wall_ns);
 }
 
 TEST(ExplainAnalyze, TextIncludesCountersAndRounds) {
   IdlogEngine engine;
   LoadCompany(&engine);
-  auto text = engine.ExplainAnalyze();  // enables + runs by itself
+  ASSERT_TRUE(engine.Run().ok());
+  auto text = engine.ExplainAnalyze();
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("EXPLAIN ANALYZE"), std::string::npos) << *text;
   EXPECT_NE(text->find("rows_in"), std::string::npos) << *text;
@@ -236,6 +245,7 @@ TEST(ExplainAnalyze, TextIncludesCountersAndRounds) {
 TEST(ExplainJson, ValidatesAndCarriesTheSchemaTag) {
   IdlogEngine engine;
   LoadCompany(&engine);
+  ASSERT_TRUE(engine.Run().ok());
   auto json = engine.ExplainPlanJson(/*analyze=*/true);
   ASSERT_TRUE(json.ok()) << json.status().ToString();
   Status valid = ValidateJson(*json);
@@ -267,6 +277,7 @@ TEST(ExplainJson, ByteIdenticalAcrossJobs) {
     IdlogEngine engine;
     engine.SetThreads(threads);
     LoadCompany(&engine);
+    ASSERT_TRUE(engine.Run().ok());
     auto json = engine.ExplainPlanJson(/*analyze=*/true);
     ASSERT_TRUE(json.ok()) << json.status().ToString();
     (threads == 1 ? serial_doc : parallel_doc) = *json;
@@ -290,6 +301,7 @@ TEST(ExplainJson, RecursiveProgramIdenticalAcrossJobs) {
                         "path(X, Z) :- path(X, Y), edge(Y, Z)."
                         "sink(X) :- edge(X, Y), not edge(Y, X).")
                     .ok());
+    ASSERT_TRUE(engine.Run().ok());
     auto json = engine.ExplainPlanJson(/*analyze=*/true);
     ASSERT_TRUE(json.ok()) << json.status().ToString();
     docs[t] = *json;

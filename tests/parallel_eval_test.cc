@@ -162,7 +162,6 @@ RunOutcome RunWith(int threads, const std::string& program,
   }
   engine.SetThreads(threads);
   engine.EnableProfiling(true);
-  engine.EnableExplain(true);
   engine.EnableProvenance(true);
   TraceSink sink;
   engine.SetTraceSink(&sink);
@@ -662,7 +661,6 @@ std::vector<std::vector<std::string>> StagedByPart(
   task.head = head;
   task.parts.resize(static_cast<size_t>(partitions));
   for (int p = 0; p < partitions; ++p) {
-    task.parts[static_cast<size_t>(p)].partition = p;
     task.parts[static_cast<size_t>(p)].staged = Relation(head->type());
   }
   Status st = RunRoundTasks(EvalContext(), slots, &tasks);

@@ -88,7 +88,6 @@ void SetUpSampleEngine(IdlogEngine* engine) {
   ASSERT_TRUE(engine->AddRow("lvl", {"bob", "5"}).ok());
   ASSERT_TRUE(engine->LoadProgramText(kSampleProgram).ok());
   engine->SetTidAssigner(std::make_unique<RandomTidAssigner>(11));
-  engine->EnableExplain(true);
   engine->EnableProfiling(true);
 }
 

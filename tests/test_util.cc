@@ -1,7 +1,11 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cctype>
+
+#include "eval/rule_plan.h"
 
 namespace idlog {
 namespace testing_util {
@@ -119,6 +123,63 @@ std::vector<std::vector<std::string>> CorpusEdb(uint64_t seed) {
     edb.push_back({"e1", "c" + std::to_string(rng() % 6)});
   }
   return edb;
+}
+
+void ExpectCountersReconcile(const IdlogEngine& engine) {
+  const PlanAnalysis& analysis = engine.plan_analysis();
+  const EvalProfile& profile = engine.profile();
+  const EvalStats& stats = engine.stats();
+  const std::vector<Clause>& clauses = engine.program().clauses;
+  ASSERT_EQ(analysis.rules.size(), clauses.size());
+  ASSERT_EQ(profile.rules.size(), clauses.size());
+  ASSERT_FALSE(analysis.rules.empty());
+
+  uint64_t probes = 0, firings = 0, considered = 0, derived = 0,
+           inserted = 0;
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    Result<RulePlan> plan = CompileRule(clauses[i]);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::vector<StepCounters>& steps = analysis.rules[i].steps;
+    const RuleProfile& rp = profile.rules[i];
+    ASSERT_EQ(steps.size(), plan->steps.size() + 1) << "rule " << i;
+    // The emit pseudo-step bridges to the profile columns exactly.
+    EXPECT_EQ(steps.back().rows_emitted, rp.facts_inserted) << "rule " << i;
+    EXPECT_EQ(steps.back().rows_in, rp.facts_derived) << "rule " << i;
+    // Step 0 is entered once per firing (a non-empty-delta evaluation).
+    EXPECT_EQ(steps.front().rows_in, rp.firings) << "rule " << i;
+    for (size_t k = 0; k < steps.size(); ++k) {
+      const StepCounters& sc = steps[k];
+      // Counters are monotone through the pipeline: a step can only
+      // pass on bindings it actually enumerated.
+      EXPECT_LE(sc.rows_emitted, sc.rows_scanned + sc.rows_in);
+      probes += sc.index_probes;
+      // Built-ins enumerate solutions, not stored tuples.
+      if (k < plan->steps.size() &&
+          plan->steps[k].kind != PlanStep::Kind::kBuiltin) {
+        considered += sc.rows_scanned;
+      }
+    }
+    firings += steps.front().rows_in;
+    derived += steps.back().rows_in;
+    inserted += steps.back().rows_emitted;
+  }
+  EXPECT_EQ(probes, stats.index_probes);
+  EXPECT_EQ(firings, stats.rule_firings);
+  EXPECT_EQ(considered, stats.tuples_considered);
+  EXPECT_EQ(derived, stats.facts_derived);
+  EXPECT_EQ(inserted, stats.facts_inserted);
+
+  // Every stratum reports its per-round delta sizes, and the logs hold
+  // every round the engine counted and every fact it committed.
+  ASSERT_FALSE(analysis.strata.empty());
+  uint64_t rounds = 0, logged = 0;
+  for (const StratumRoundStats& s : analysis.strata) {
+    rounds += s.new_facts_per_round.size();
+    for (uint64_t n : s.new_facts_per_round) logged += n;
+  }
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(rounds, stats.iterations);
+  EXPECT_EQ(logged, stats.facts_inserted);
 }
 
 }  // namespace testing_util

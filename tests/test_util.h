@@ -9,6 +9,7 @@
 
 #include "common/symbol_table.h"
 #include "common/value.h"
+#include "core/idlog_engine.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 
@@ -50,6 +51,15 @@ class CorpusGenerator {
 
 /// The matching EDB for corpus seed `seed`: rows over e0/2 and e1/1.
 std::vector<std::vector<std::string>> CorpusEdb(uint64_t seed);
+
+/// Expects the EXPLAIN ANALYZE counters of everything `engine` evaluated
+/// so far (profiling on) to reconcile with its profile and its totals:
+/// per rule, the emit step against the profile row; over all rules,
+/// step 0's rows_in against rule_firings, the scan and negation steps'
+/// rows_scanned against tuples_considered, the emit steps against
+/// facts_derived and facts_inserted, and index probes; and the round
+/// logs against iterations and facts_inserted.
+void ExpectCountersReconcile(const IdlogEngine& engine);
 
 }  // namespace testing_util
 }  // namespace idlog

@@ -839,7 +839,6 @@ int RunBatch(int argc, char** argv) {
   // finish() maps the exit code to 130); a second force-exits.
   g_cancel_target.store(&engine.governor(), std::memory_order_relaxed);
   InstallSignalHandlers();
-  if (explain_analyze) engine.EnableExplain(true);
   idlog::TraceSink trace_sink;
   const bool tracing = !trace_out.empty();
   if (tracing) engine.SetTraceSink(&trace_sink);
