@@ -69,6 +69,10 @@ class RuleExecutor {
       (void)ctx_.provenance->Record(head_pred_id_, t, plan_.clause_index,
                                     premises_);
     }
+    // A re-derivation would fail the commit's insert into the frozen
+    // head; dropping it here saves staging it. Counted and recorded
+    // above either way, so nothing observable changes.
+    if (ctx_.head != nullptr && ctx_.head->Contains(t)) return Status::OK();
     out_->Insert(std::move(t));
     return Status::OK();
   }

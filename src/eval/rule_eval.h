@@ -102,6 +102,11 @@ struct EvalContext {
   /// facts_derived; its rows_emitted is left 0 for the driver's commit.
   RuleStepStats* counters = nullptr;
 
+  /// The full relation the staged heads commit into, frozen while the
+  /// rule runs (set by the round executor; null elsewhere). The
+  /// executor stages no tuple it already holds: commit would drop it.
+  const Relation* head = nullptr;
+
   /// When set, the first derivation of every new fact is recorded
   /// (clause index + matched premises). `symbols` is only consulted for
   /// rendering built-in premises and may be null otherwise.
@@ -127,9 +132,10 @@ Status BindRule(const RulePlan& plan, const RelationSlots& slots,
 /// Evaluates one rule bottom-up over the relations BindRule resolved
 /// for the same `delta_step`, staging derived head tuples into `out`.
 /// Counts into `ctx.counters`, which must hold steps+1 entries (else
-/// Internal). Whether a staged tuple is new, and what that costs, is
-/// for the caller to decide against the full relation (the stratum
-/// driver's commit).
+/// Internal). A tuple `ctx.head` holds is counted but not staged;
+/// whether a staged tuple is new, and what that costs, is for the
+/// caller to decide against the full relation (the stratum driver's
+/// commit).
 Status EvaluateRuleInto(const RulePlan& plan,
                         const std::vector<BoundStep>& bound,
                         const EvalContext& ctx, int delta_step,

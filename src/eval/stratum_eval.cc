@@ -198,12 +198,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
 
       // Commit: insert this task's staged tuples into the full
       // relation, part after part — the parts read consecutive delta
-      // row ranges, so this is the serial emission order. Dedup within
-      // a part came free from its staged relation; cross-part and
-      // cross-task duplicates — and re-derivations from earlier rounds
-      // — all fall out of the one Insert against full. Skipped for a
-      // failed round: the round's results are discarded, exactly as the
-      // serial early return discards its staging.
+      // row ranges, so this is the serial emission order. The parts
+      // staged nothing full held before the round (the executor checks
+      // the frozen head), and dedup within a part came free from its
+      // staged relation; cross-part and cross-task duplicates fall out
+      // of the one Insert against full. Skipped for a failed round: the
+      // round's results are discarded, exactly as the serial early
+      // return discards its staging.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {

@@ -52,6 +52,7 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   ctx.profile = nullptr;
   ctx.analyze = nullptr;
   ctx.counters = &part->counters;
+  ctx.head = task.head;
   // Derivations go to the part's private store; the driver absorbs them
   // in (task, partition) order (first-derivation-wins), so the final
   // store matches a serial run byte-for-byte.

@@ -51,7 +51,8 @@ struct RoundTask {
                                 ///< delta-step-0 tasks (see the driver).
   std::vector<RoundPart> parts; ///< Sized `partitions` by the driver.
   Relation* head = nullptr;     ///< The full relation Commit inserts
-                                ///< into (set by the driver).
+                                ///< into and parts stage nothing it
+                                ///< holds (set by the driver).
   std::vector<BoundStep> bound; ///< Per plan step: relation, rows and
                                 ///< index, the delta unsplit (set by
                                 ///< RunRoundTasks).

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -15,12 +14,28 @@ namespace idlog {
 /// A finite, typed, duplicate-free set of tuples, plus the column
 /// indexes built over it.
 ///
+/// Each tuple is stored once, as a row. Membership is a flat
+/// open-addressing table of row ids hashed over the rows: a slot holds
+/// a row id and 32 bits of the tuple's hash, which also pick its home
+/// slot, so a probe reads the 8-byte slots and compares a row only on
+/// a matching hash. The table is at most half full, probes are linear,
+/// and an erased slot is filled by shifting its chain back, so erasure
+/// leaves no tombstones behind. Row ids are 32 bits and home slots come
+/// from the 32 hash bits, so a relation holds at most kMaxRows (2^31)
+/// rows; one more throws std::length_error, as std::vector does past
+/// max_size().
+///
 /// Iteration order is insertion order (with Erase moving the last row
 /// into the vacated slot), which makes runs repeatable: the same
 /// operation sequence always yields the same order, and the "canonical"
 /// tid assignment (IdentityTidAssigner) enumerates group members in
 /// this order. No semantic meaning attaches to it — IDLOG queries are
 /// generic, so any order yields *a* legal ID-function.
+///
+/// The const members Contains, tuples, size and SortedTuples read only
+/// the rows and the table, so any number of threads may call them
+/// while no thread modifies the relation (IndexOn builds indexes, so it
+/// is not among them).
 class Relation {
  public:
   Relation() = default;
@@ -35,15 +50,18 @@ class Relation {
   Relation(Relation&&) noexcept = default;
   Relation& operator=(Relation&&) noexcept = default;
 
-  /// Inserts `t`; returns true if the tuple was new. The tuple arity
-  /// must match the relation type (checked; mismatches are dropped and
-  /// reported via last_error()).
+  /// The most rows a relation holds.
+  static constexpr size_t kMaxRows = size_t{1} << 31;
+
+  /// Inserts `t`; returns true if the tuple was new, which then becomes
+  /// the last row (moved, not copied). A tuple whose arity does not
+  /// match the relation type is not inserted.
   bool Insert(Tuple t);
 
   /// Inserts with sort checking against the relation type.
   Status InsertChecked(Tuple t);
 
-  bool Contains(const Tuple& t) const { return set_.count(t) > 0; }
+  bool Contains(const Tuple& t) const;
 
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
@@ -105,11 +123,27 @@ class Relation {
   bool SetEquals(const Relation& other) const;
 
  private:
+  /// A membership-table slot: the row it names plus one (0 = empty),
+  /// and the upper 32 bits of the row's mixed hash (its tag).
+  struct Slot {
+    uint32_t row1 = 0;
+    uint32_t tag = 0;
+  };
+
+  /// The home slot of `tag`: its top log2(capacity) bits.
+  size_t Home(uint32_t tag) const;
+  /// The slot holding `t`, or the empty slot that ends its probe chain.
+  /// The table must not be empty.
+  size_t Find(const Tuple& t, uint32_t tag) const;
+  /// Doubles the table (from empty: its minimum size) and re-places
+  /// every slot by its tag; no tuple is hashed again.
+  void Grow();
+
   RelationType type_;
   std::vector<Tuple> rows_;
-  /// Membership plus each tuple's index in rows_, so Erase need not
-  /// scan the row vector.
-  std::unordered_map<Tuple, size_t, TupleHash> set_;
+  /// Membership: a power-of-two number of slots, at most half full;
+  /// empty while the relation has never held a row since Clear.
+  std::vector<Slot> table_;
   uint64_t version_ = 0;
   uint64_t clear_generation_ = 0;
   /// Built by IndexOn through const references (the database and the

@@ -642,6 +642,49 @@ TEST(JobsSweep, GovernorTripMidPartitionedRun) {
 }
 
 // --------------------------------------------------------------------
+// Answers against a reference computed without the engine. The tests
+// above compare the engine with itself (serial against parallel), which
+// a storage or commit fault that every path shares would pass.
+
+class ClosureAgainstBfs : public ::testing::TestWithParam<uint64_t> {};
+
+// Left- and right-linear transitive closure of a random 150-node,
+// 600-edge graph at 1 and 4 threads: `path` is exactly the BFS closure.
+TEST_P(ClosureAgainstBfs, LeftAndRightLinearAtOneAndFourJobs) {
+  constexpr int64_t kNodes = 150;
+  const std::vector<testing_util::Edge> edges =
+      testing_util::RandomGraph(kNodes, 600, GetParam());
+  const std::vector<Tuple> expected = testing_util::BfsClosure(kNodes, edges);
+  const char* const kPrograms[] = {
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- path(X, Y), edge(Y, Z).\n",
+      "path(X, Y) :- edge(X, Y).\n"
+      "path(X, Z) :- edge(X, Y), path(Y, Z).\n"};
+  for (const char* program : kPrograms) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(program) + "jobs=" + std::to_string(jobs));
+      IdlogEngine engine;
+      for (const testing_util::Edge& e : edges) {
+        ASSERT_TRUE(engine
+                        .AddRow("edge", {std::to_string(e.first),
+                                         std::to_string(e.second)})
+                        .ok());
+      }
+      engine.SetThreads(jobs);
+      ASSERT_TRUE(engine.LoadProgramText(program).ok());
+      ASSERT_TRUE(engine.Run().ok());
+      auto path = engine.Query("path");
+      ASSERT_TRUE(path.ok()) << path.status().ToString();
+      EXPECT_EQ((*path)->size(), expected.size());
+      EXPECT_TRUE((*path)->SortedTuples() == expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClosureAgainstBfs,
+                         ::testing::Values(11u, 12u, 13u));
+
+// --------------------------------------------------------------------
 // Contiguous delta ranges: part k of K reads the k-th row range of the
 // delta, so the parts' staged tuples, concatenated in part order with
 // repeats dropped, are exactly what one unpartitioned evaluation

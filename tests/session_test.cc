@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -574,6 +575,65 @@ TEST(Session, ConflictingFirstInsertIsRefusedBeforeTheLog) {
 // holding. Commits the engine cannot extend monotonically (negation or
 // ID-literals over the change) fall back to a full run; the share that
 // went incremental is reported.
+// The update_session workload's shape against a reference computed
+// without the engine: 60 single-edge commits on a 60-node graph, one
+// retraction of a live edge after every nine inserts of a fresh one.
+// `path` is the BFS closure of the live edges after every commit, and
+// again after recovery from the snapshot and the log.
+TEST(Session, CommitsAndRecoveryMatchABfsClosure) {
+  constexpr int64_t kNodes = 60;
+  ScratchDir scratch("bfs");
+  const std::string wal_path = scratch.Path("s.wal");
+  std::vector<testing_util::Edge> live =
+      testing_util::RandomGraph(kNodes, 240, 5);
+  auto edge = [](const testing_util::Edge& e) {
+    return Tuple{Value::Number(e.first), Value::Number(e.second)};
+  };
+  auto expect_closure = [&](IdlogEngine* engine) {
+    auto path = engine->Query("path");
+    ASSERT_TRUE(path.ok()) << path.status().ToString();
+    EXPECT_TRUE((*path)->SortedTuples() ==
+                testing_util::BfsClosure(kNodes, live));
+  };
+  {
+    IdlogEngine engine;
+    for (const testing_util::Edge& e : live) {
+      ASSERT_TRUE(engine.AddFact("edge", edge(e)).ok());
+    }
+    ASSERT_TRUE(engine.LoadProgramText(kTcProgram).ok());
+    ASSERT_TRUE(engine.AttachWal(wal_path).ok());
+    std::mt19937_64 rng(17);
+    for (int c = 0; c < 60; ++c) {
+      SCOPED_TRACE("commit " + std::to_string(c));
+      ASSERT_TRUE(engine.Begin().ok());
+      if (c % 10 == 9) {
+        const size_t at = rng() % live.size();
+        ASSERT_TRUE(engine.Retract("edge", edge(live[at])).ok());
+        live[at] = live.back();
+        live.pop_back();
+      } else {
+        testing_util::Edge e;
+        do {
+          e = {static_cast<int64_t>(rng() % kNodes),
+               static_cast<int64_t>(rng() % kNodes)};
+        } while (e.first == e.second ||
+                 std::find(live.begin(), live.end(), e) != live.end());
+        ASSERT_TRUE(engine.Insert("edge", edge(e)).ok());
+        live.push_back(e);
+      }
+      Status st = engine.Commit();
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      expect_closure(&engine);
+    }
+  }
+  IdlogEngine recovered;
+  ASSERT_TRUE(recovered.PrepareRecovery(wal_path).ok());
+  ASSERT_TRUE(recovered.LoadProgramText(kTcProgram).ok());
+  ASSERT_TRUE(recovered.CompleteRecovery().ok());
+  EXPECT_EQ(recovered.wal_commits(), 60u);
+  expect_closure(&recovered);
+}
+
 TEST(SessionCorpus, InsertCommitsMatchAFreshRun) {
   constexpr int kSeeds = 40;
   constexpr int kCommits = 8;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "storage/database.h"
@@ -81,6 +85,191 @@ TEST(Relation, VersionAdvancesOnChange) {
   EXPECT_GT(r.version(), v1);
   EXPECT_EQ(r.size(), 0u);
 }
+
+// --------------------------------------------------------------------
+// The membership table against an oracle: std::set for membership and
+// size, and a vector with linear-search swap-and-pop for row order.
+
+/// A relation and the oracle it must agree with.
+struct Checked {
+  static RelationType Type() { return TypeFromString("01"); }
+
+  Relation rel{Type()};
+  std::set<Tuple> members;
+  std::vector<Tuple> order;
+
+  testing::AssertionResult Insert(const Tuple& t) {
+    const bool added = members.insert(t).second;
+    if (rel.Insert(t) != added) {
+      return testing::AssertionFailure() << "Insert disagrees";
+    }
+    if (added) order.push_back(t);
+    return After(t);
+  }
+
+  testing::AssertionResult Erase(const Tuple& t) {
+    const bool had = members.erase(t) > 0;
+    if (rel.Erase(t) != had) {
+      return testing::AssertionFailure() << "Erase disagrees";
+    }
+    if (had) {
+      auto it = std::find(order.begin(), order.end(), t);
+      const size_t at = static_cast<size_t>(it - order.begin());
+      if (at + 1 != order.size()) *it = std::move(order.back());
+      order.pop_back();
+      if (at < order.size() && rel.tuples()[at] != order[at]) {
+        return testing::AssertionFailure() << "Erase moved the wrong row";
+      }
+    }
+    return After(t);
+  }
+
+  void Clear() {
+    rel.Clear();
+    members.clear();
+    order.clear();
+  }
+
+  /// Membership of `t`, the size and the last row, after any operation.
+  testing::AssertionResult After(const Tuple& t) const {
+    if (rel.Contains(t) != (members.count(t) > 0)) {
+      return testing::AssertionFailure() << "Contains disagrees";
+    }
+    if (rel.size() != members.size() || rel.tuples().size() != order.size()) {
+      return testing::AssertionFailure()
+             << "size " << rel.size() << ", oracle " << members.size();
+    }
+    if (!order.empty() && rel.tuples().back() != order.back()) {
+      return testing::AssertionFailure() << "last row differs";
+    }
+    return testing::AssertionSuccess();
+  }
+
+  /// Every row in order, and membership over the whole key domain.
+  testing::AssertionResult Full(const std::vector<Tuple>& domain) const {
+    if (rel.tuples() != order) {
+      return testing::AssertionFailure() << "row order differs";
+    }
+    for (const Tuple& t : domain) {
+      testing::AssertionResult r = After(t);
+      if (!r) return r;
+    }
+    return testing::AssertionSuccess();
+  }
+};
+
+/// Keys over a u column and an i column, so both sorts hash.
+std::vector<Tuple> KeyDomain(int n) {
+  std::vector<Tuple> keys;
+  for (int k = 0; k < n; ++k) {
+    keys.push_back({Value::Symbol(static_cast<SymbolId>(k % 53)),
+                    Value::Number(k / 53)});
+  }
+  return keys;
+}
+
+class MembershipOracle : public testing::TestWithParam<uint64_t> {};
+
+// A 120K-operation random sequence per seed: inserts, erases and
+// lookups over an 8,000-key domain, with rare clears, copies, copy
+// assignments and moves. Inserts outweigh erases until about 70% of the
+// domain is live, so erases mostly hit and the table (8 slots when
+// first used, at most half full) grows through at least 10 doublings.
+TEST_P(MembershipOracle, RandomSequenceMatchesTheOracle) {
+  const std::vector<Tuple> domain = KeyDomain(8000);
+  std::mt19937_64 rng(GetParam());
+  Checked c;
+  size_t peak = 0;
+  for (int op = 0; op < 120000; ++op) {
+    const Tuple& t = domain[rng() % domain.size()];
+    const uint64_t r = rng() % 100000;
+    if (r < 55000) {
+      ASSERT_TRUE(c.Insert(t)) << "op " << op;
+    } else if (r < 80000) {
+      ASSERT_TRUE(c.Erase(t)) << "op " << op;
+    } else if (r < 99900) {
+      ASSERT_TRUE(c.After(t)) << "op " << op;
+    } else if (r < 99904) {
+      c.Clear();
+      ASSERT_TRUE(c.Full(domain)) << "after Clear, op " << op;
+    } else if (r < 99936) {
+      // Copy-construct, then carry on with the copy's table.
+      Relation copy(c.rel);
+      c.rel = std::move(copy);
+      ASSERT_TRUE(c.Full(domain)) << "after a copy, op " << op;
+    } else if (r < 99968) {
+      // Copy-assign over a relation that holds other rows.
+      Relation target(Checked::Type());
+      for (int k = 0; k < 40; ++k) target.Insert(domain[rng() % 100]);
+      target = c.rel;
+      c.rel = std::move(target);
+      ASSERT_TRUE(c.Full(domain)) << "after copy assignment, op " << op;
+    } else {
+      // Move out, then reuse the moved-from relation by assigning to it.
+      Relation moved(std::move(c.rel));
+      EXPECT_EQ(c.rel.size(), 0u);
+      EXPECT_FALSE(c.rel.Contains(t));
+      c.rel = std::move(moved);
+      ASSERT_TRUE(c.Full(domain)) << "after a move, op " << op;
+    }
+    peak = std::max(peak, c.rel.size());
+    if (op % 4000 == 0) {
+      ASSERT_TRUE(c.Full(domain)) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(c.Full(domain));
+  // 8 slots doubled 10 times hold 4,096 rows at most.
+  EXPECT_GT(peak, 4096u) << "the table grew through fewer than 10 doublings";
+}
+
+// Erase every row in random order down to empty (each step checked),
+// then reinsert: the backward shifts leave no stale slot behind.
+TEST_P(MembershipOracle, DrainToEmptyThenReinsert) {
+  const std::vector<Tuple> domain = KeyDomain(6000);
+  std::mt19937_64 rng(GetParam());
+  Checked c;
+  for (int round = 0; round < 3; ++round) {
+    for (const Tuple& t : domain) {
+      if (rng() % 4 != 0) {
+        ASSERT_TRUE(c.Insert(t));
+      }
+    }
+    ASSERT_TRUE(c.Full(domain)) << "round " << round;
+    std::vector<Tuple> drain = c.order;
+    std::shuffle(drain.begin(), drain.end(), rng);
+    for (const Tuple& t : drain) ASSERT_TRUE(c.Erase(t));
+    ASSERT_TRUE(c.rel.empty());
+    ASSERT_TRUE(c.Full(domain)) << "drained, round " << round;
+  }
+}
+
+// A copy owns its table: it and its source diverge under independent
+// operation streams, each still matching its own oracle.
+TEST_P(MembershipOracle, CopyDivergesFromItsSource) {
+  const std::vector<Tuple> domain = KeyDomain(3000);
+  std::mt19937_64 rng(GetParam());
+  Checked source;
+  for (int op = 0; op < 4000; ++op) {
+    ASSERT_TRUE(source.Insert(domain[rng() % domain.size()]));
+  }
+  Checked copy = source;
+  ASSERT_TRUE(copy.Full(domain));
+  for (int op = 0; op < 20000; ++op) {
+    Checked& c = op % 2 == 0 ? source : copy;
+    const Tuple& t = domain[rng() % domain.size()];
+    if (rng() % 2 == 0) {
+      ASSERT_TRUE(c.Insert(t)) << "op " << op;
+    } else {
+      ASSERT_TRUE(c.Erase(t)) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(source.Full(domain));
+  ASSERT_TRUE(copy.Full(domain));
+  EXPECT_NE(source.order, copy.order);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MembershipOracle,
+                         testing::Values(1u, 2u, 3u));
 
 // --------------------------------------------------------------------
 // Indexes owned by relations.

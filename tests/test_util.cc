@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <set>
 
 #include "eval/rule_plan.h"
 
@@ -180,6 +181,41 @@ void ExpectCountersReconcile(const IdlogEngine& engine) {
   EXPECT_GT(rounds, 0u);
   EXPECT_EQ(rounds, stats.iterations);
   EXPECT_EQ(logged, stats.facts_inserted);
+}
+
+std::vector<Edge> RandomGraph(int64_t nodes, size_t count, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::set<Edge> seen;
+  std::vector<Edge> edges;
+  while (edges.size() < count) {
+    const Edge e(static_cast<int64_t>(rng() % static_cast<uint64_t>(nodes)),
+                 static_cast<int64_t>(rng() % static_cast<uint64_t>(nodes)));
+    if (e.first != e.second && seen.insert(e).second) edges.push_back(e);
+  }
+  return edges;
+}
+
+std::vector<Tuple> BfsClosure(int64_t nodes, const std::vector<Edge>& edges) {
+  std::vector<std::vector<int64_t>> out(static_cast<size_t>(nodes));
+  for (const Edge& e : edges) {
+    out[static_cast<size_t>(e.first)].push_back(e.second);
+  }
+  std::vector<Tuple> closure;
+  for (int64_t x = 0; x < nodes; ++x) {
+    std::vector<bool> reached(static_cast<size_t>(nodes), false);
+    std::vector<int64_t> queue = out[static_cast<size_t>(x)];
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int64_t y = queue[head];
+      if (reached[static_cast<size_t>(y)]) continue;
+      reached[static_cast<size_t>(y)] = true;
+      closure.push_back({Value::Number(x), Value::Number(y)});
+      for (int64_t z : out[static_cast<size_t>(y)]) {
+        if (!reached[static_cast<size_t>(z)]) queue.push_back(z);
+      }
+    }
+  }
+  std::sort(closure.begin(), closure.end());
+  return closure;
 }
 
 }  // namespace testing_util

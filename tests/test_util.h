@@ -61,6 +61,18 @@ std::vector<std::vector<std::string>> CorpusEdb(uint64_t seed);
 /// logs against iterations and facts_inserted.
 void ExpectCountersReconcile(const IdlogEngine& engine);
 
+/// A directed edge between integer nodes.
+using Edge = std::pair<int64_t, int64_t>;
+
+/// `count` distinct edges over nodes [0, nodes), no self-loops, in a
+/// seeded random order (count must not exceed nodes·(nodes−1)).
+std::vector<Edge> RandomGraph(int64_t nodes, size_t count, uint64_t seed);
+
+/// The transitive closure of `edges` by a breadth-first search from
+/// every node, without the engine: the pairs (x, y), as integer tuples,
+/// with y reachable from x over one or more edges, sorted.
+std::vector<Tuple> BfsClosure(int64_t nodes, const std::vector<Edge>& edges);
+
 }  // namespace testing_util
 }  // namespace idlog
 
