@@ -84,13 +84,14 @@ class IdlogEngine {
   /// Total evaluation threads for the fixpoint — the calling thread
   /// included, so n = 4 means four threads doing rule evaluations, not
   /// five (default 1 = serial; values < 1 clamp to 1). With n >= 2 each
-  /// round's independent rule evaluations run on a thread pool. A heavy
-  /// recursive evaluation — semi-naive, its delta scan the outermost
-  /// plan step — additionally splits into n parts, each reading one
-  /// contiguous row range of the delta, and the parts commit in range
-  /// order, which is the serial order. Answers, stats, profiles,
-  /// traces, explain output and the provenance store (so proof trees
-  /// and WHY JSON) are byte-identical to a serial run.
+  /// round's independent rule evaluations run on a thread pool, and a
+  /// rule evaluation whose first plan step scans without an index —
+  /// a delta or a full relation, in any round — additionally splits
+  /// into up to n parts, each reading one contiguous row range of that
+  /// scan; the parts commit in range order, which is the serial order.
+  /// Answers, stats, profiles, traces, explain output and the
+  /// provenance store (so proof trees and WHY JSON) are byte-identical
+  /// to a serial run.
   void SetThreads(int n);
   int threads() const { return threads_; }
 

@@ -8,6 +8,7 @@
 #include "ast/printer.h"
 #include "ast/program_builder.h"
 #include "eval/stratum_eval.h"
+#include "exec/round_executor.h"
 
 namespace idlog {
 
@@ -589,22 +590,23 @@ Result<bool> EngineImpl::VerifyModel() {
   if (!prepared_) {
     return Status::InvalidArgument("Prepare() and Evaluate() first");
   }
+  // One round of every rule over the model, each judged against its own
+  // model relation: the executor stages only heads the model lacks.
   RelationSlots slots = FillSlots();
-  RuleStepStats scratch;  // The check's counters are not the run's.
+  std::vector<RoundTask> tasks(plans_.size());
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    tasks[i].plan = &plans_[i];
+    tasks[i].head = slots.full[static_cast<size_t>(plans_[i].head)];
+    if (tasks[i].head == nullptr) return false;
+  }
   EvalContext ctx;
-  ctx.counters = &scratch;
-  std::vector<BoundStep> bound;
-  for (const RulePlan& plan : plans_) {
-    const Relation* current = slots.full[static_cast<size_t>(plan.head)];
-    if (current == nullptr) return false;
-    scratch.steps.assign(plan.steps.size() + 1, StepCounters());
-    IDLOG_RETURN_NOT_OK(BindRule(plan, slots, /*delta_step=*/-1,
-                                 use_indexes_, &scratch, &bound));
-    Relation derived(current->type());
-    IDLOG_RETURN_NOT_OK(EvaluateRuleInto(plan, bound, ctx,
-                                         /*delta_step=*/-1, &derived));
-    for (const Tuple& t : derived.tuples()) {
-      if (!current->Contains(t)) return false;
+  ctx.use_indexes = use_indexes_;
+  ctx.pool = pool_.get();
+  IDLOG_RETURN_NOT_OK(RunRoundTasks(ctx, slots, &tasks));
+  for (const RoundTask& task : tasks) {
+    IDLOG_RETURN_NOT_OK(task.status);
+    for (const RoundPart& part : task.parts) {
+      if (!part.staged.empty()) return false;
     }
   }
   return true;

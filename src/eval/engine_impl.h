@@ -178,12 +178,13 @@ class EngineImpl {
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
   TraceSink* trace_sink() const { return trace_; }
 
-  /// Worker-thread count for the parallel stratum executor (default 1 =
-  /// serial fixpoint, no pool). With n >= 2, each fixpoint round's
-  /// independent (rule, delta_step) evaluations run concurrently, a
-  /// heavy one split into n contiguous delta row ranges, and commit in
-  /// serial order, so results, stats, profiles, traces and the
-  /// provenance store stay byte-identical to a serial run.
+  /// Thread count for the round executor (default 1 = serial, no
+  /// pool). With n >= 2 the executor runs each round's (rule,
+  /// delta_step) evaluations on an n-thread pool, splitting any whose
+  /// step 0 is an unindexed scan into up to n contiguous row ranges,
+  /// and the driver commits in serial order, so results, stats,
+  /// profiles, traces and the provenance store stay byte-identical to
+  /// a serial run. VerifyModel uses the pool the last run sized.
   void set_threads(int n) { threads_ = n < 1 ? 1 : n; }
   int threads() const { return threads_; }
 

@@ -60,8 +60,8 @@ struct BoundStep {
 
 /// Runtime environment a rule executes in.
 struct EvalContext {
-  /// Engine totals. Only the stratum driver writes them, from the
-  /// per-step counters it folds at commit; the executor never does.
+  /// Engine totals. Only the stratum driver writes them, at commit,
+  /// from each task's counters as the round executor folded them.
   EvalStats* stats = nullptr;
 
   /// Resource budgets (deadline, tuples, memory, iterations) and the
@@ -76,11 +76,11 @@ struct EvalContext {
   /// the cost of losing index nested-loop joins).
   bool use_indexes = true;
 
-  /// Thread pool for the parallel stratum executor (exec/). Null (the
-  /// default) keeps the serial fixpoint; when set, EvaluateStratum runs
-  /// the independent (rule, delta_step) evaluations of each round
-  /// concurrently, fans heavy ones out over the pool's size, and
-  /// commits them in serial order.
+  /// Thread pool for the round executor (exec/). Null (the default)
+  /// runs every task in order on the calling thread; when set,
+  /// RunRoundTasks splits each task whose step 0 is an unindexed scan
+  /// into up to the pool's size of row ranges and runs all parts
+  /// concurrently. Either way the driver commits in serial order.
   ThreadPool* pool = nullptr;
 
   /// Driver-side observers (null by default; attribution is per rule
@@ -102,9 +102,12 @@ struct EvalContext {
   /// facts_derived; its rows_emitted is left 0 for the driver's commit.
   RuleStepStats* counters = nullptr;
 
-  /// The full relation the staged heads commit into, frozen while the
-  /// rule runs (set by the round executor; null elsewhere). The
-  /// executor stages no tuple it already holds: commit would drop it.
+  /// The relation the staged heads are judged against, frozen while the
+  /// rule runs (RoundTask::head, set by the round executor): the full
+  /// relation the driver commits into, or in VerifyModel the model. The
+  /// executor stages no tuple it holds, so commit never drops a staged
+  /// tuple for being old and VerifyModel sees only violations. Null
+  /// stages every head.
   const Relation* head = nullptr;
 
   /// When set, the first derivation of every new fact is recorded
@@ -122,20 +125,20 @@ struct EvalContext {
 /// relation is an Internal error. An index built or extended here
 /// counts as the step's index_misses in `counters` (steps+1 entries,
 /// else Internal); an index already current counts as an index_hit.
-/// Call on one thread while no rule executes: binding is the only
-/// place indexes change during evaluation, and executors only read what
-/// was bound.
+/// RunRoundTasks calls it on one thread while no rule executes:
+/// binding is the only place indexes change during evaluation, and
+/// executors only read what was bound.
 Status BindRule(const RulePlan& plan, const RelationSlots& slots,
                 int delta_step, bool use_indexes, RuleStepStats* counters,
                 std::vector<BoundStep>* bound);
 
 /// Evaluates one rule bottom-up over the relations BindRule resolved
-/// for the same `delta_step`, staging derived head tuples into `out`.
-/// Counts into `ctx.counters`, which must hold steps+1 entries (else
-/// Internal). A tuple `ctx.head` holds is counted but not staged;
-/// whether a staged tuple is new, and what that costs, is for the
-/// caller to decide against the full relation (the stratum driver's
-/// commit).
+/// for the same `delta_step` (RunRoundTasks may narrow step 0's rows),
+/// staging derived head tuples into `out`. Counts into `ctx.counters`,
+/// which must hold steps+1 entries (else Internal). A tuple `ctx.head`
+/// holds is counted but not staged; whether a staged tuple is new, and
+/// what that costs, is for the caller to decide against the full
+/// relation (the stratum driver's commit).
 Status EvaluateRuleInto(const RulePlan& plan,
                         const std::vector<BoundStep>& bound,
                         const EvalContext& ctx, int delta_step,

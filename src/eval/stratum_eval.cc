@@ -6,16 +6,11 @@
 #include <utility>
 
 #include "exec/round_executor.h"
-#include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 
 namespace idlog {
 
 namespace {
-
-/// A delta must have at least this many rows before a task is worth
-/// fanning out (below it the per-partition setup outweighs the scan).
-constexpr uint64_t kMinPartitionRows = 2;
 
 /// The engine totals of one task's folded counters: what EvalStats, the
 /// rule's profile row and its trace span report.
@@ -97,121 +92,47 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     round_log = &*it;
   }
 
-  // Fan-out of one (rule, delta_step) task. Only the heavy shape is
-  // eligible: a semi-naive task whose delta scan is the *outermost*
-  // plan step with no bound keys — then the serial emission order is
-  // ascending delta-row order, so K parts over contiguous row ranges
-  // emit, in part order, exactly the serial sequence, and no earlier
-  // step gets re-scanned K times. K is the pool's size clamped to the
-  // delta's row count: it depends only on the configured --jobs and
-  // the delta's content, never on scheduling.
-  auto resolve_fanout = [&](const RulePlan& plan, int delta_step) -> int {
-    if (!seminaive || delta_step != 0 || ctx.pool == nullptr) return 1;
-    const PlanStep& scan = plan.steps[0];
-    if (scan.kind != PlanStep::Kind::kScan || scan.is_id ||
-        !scan.key_cols.empty()) {
-      return 1;
-    }
-    const std::optional<size_t>& mark =
-        slots.delta[static_cast<size_t>(scan.rel)].mark;
-    const Relation* full = slots.full[static_cast<size_t>(scan.rel)];
-    if (!mark.has_value() || full == nullptr ||
-        full->size() < *mark + kMinPartitionRows) {
-      return 1;
-    }
-    return static_cast<int>(std::min<uint64_t>(
-        static_cast<uint64_t>(ctx.pool->size()), full->size() - *mark));
-  };
-
   // Runs one round's (rule, delta_step) tasks and commits what they
   // staged. The task list is built in the exact order the serial loop
-  // evaluates; the executor runs every task's parts (concurrently when
-  // a pool is installed, else in order on this thread) into private
-  // relations, and the commit below walks tasks in that same order and
-  // each task's parts in index order — the serial emission order — so
-  // fixpoint contents, stats, profile columns, explain counters, trace
-  // spans and the provenance store come out identical for every --jobs
-  // (timing values aside). Commit is where inserts become observable: a
-  // staged tuple counts as facts_inserted (and is charged to the
-  // governor, and lands in the next delta's rows) iff it is new in the
-  // full relation — the one definition of "new" that no concatenation
-  // order can perturb.
+  // evaluates, and the executor hands back what that loop would have
+  // produced: the tasks up to the first failing one, each with its
+  // parts in row order (one part unless the executor split it) and its
+  // counters folded. The commit below walks tasks and parts in that
+  // order, the serial emission order, so fixpoint contents, stats,
+  // profile columns, explain counters, trace spans and the provenance
+  // store come out identical for every --jobs (timing values aside).
+  // Commit is where inserts become observable: a staged tuple counts
+  // as facts_inserted (and is charged to the governor, and lands in the
+  // next delta's rows) iff it is new in the full relation — the one
+  // definition of "new" that no concatenation order can perturb.
   auto run_round = [&](std::vector<RoundTask>&& tasks,
                        uint64_t round) -> Status {
     for (RoundTask& task : tasks) {
       task.head = slots.derived[static_cast<size_t>(task.plan->head)];
-      task.parts.resize(static_cast<size_t>(task.partitions));
-      for (RoundPart& part : task.parts) {
-        part.staged = Relation(task.head->type());
-      }
     }
     IDLOG_RETURN_NOT_OK(RunRoundTasks(ctx, slots, &tasks));
+    // A failed round commits nothing, as a serial early return discards
+    // its staging; the failing task is the last one handed back.
+    const bool failed = !tasks.empty() && !tasks.back().status.ok();
 
-    // Find where the serial loop would have stopped: the first part,
-    // in (task, partition) order, with a real error. Abort markers are
-    // skipped — the pool claims parts in index order but completes
-    // them in any order, so a low-index part can be marked aborted by
-    // a higher-index failure.
-    size_t fail_task = tasks.size();
-    size_t fail_part = 0;
-    Status round_error = Status::OK();
-    for (size_t ti = 0; ti < tasks.size() && round_error.ok(); ++ti) {
-      const std::vector<RoundPart>& parts = tasks[ti].parts;
-      for (size_t pi = 0; pi < parts.size(); ++pi) {
-        const Status& st = parts[pi].status;
-        if (st.ok() || IsRoundAbortMarker(st)) continue;
-        round_error = st;
-        fail_task = ti;
-        fail_part = pi;
-        break;
-      }
-    }
-    const bool failed = !round_error.ok();
-
-    for (size_t ti = 0; ti < tasks.size(); ++ti) {
-      // Tasks after the failing one ran (or were aborted), but their
-      // results and attribution are discarded with the round — the
-      // same cutoff a serial run's early return produces.
-      if (failed && ti > fail_task) break;
-      RoundTask& task = tasks[ti];
-      const size_t last_part = (failed && ti == fail_task)
-                                   ? fail_part
-                                   : task.parts.size() - 1;
-
-      // One fold per task, which everything the task reports reads. The
-      // parts read disjoint delta ranges, so each sum is what one
-      // unpartitioned evaluation counts — but every part enters step 0,
-      // which that evaluation enters once: its rows_in, the task's
-      // firing, is capped at 1. All totals but facts_inserted are added
-      // before the commit, whose governor trip message reports them.
-      RuleStepStats counters = std::move(task.parts.front().counters);
-      uint64_t task_self_ns = task.parts.front().self_ns;
-      for (size_t pi = 1; pi <= last_part; ++pi) {
-        const std::vector<StepCounters>& src = task.parts[pi].counters.steps;
-        for (size_t k = 0; k < src.size(); ++k) counters.steps[k] += src[k];
-        task_self_ns += task.parts[pi].self_ns;
-      }
-      counters.steps.front().rows_in =
-          std::min<uint64_t>(counters.steps.front().rows_in, 1);
-      EvalStats totals = TotalsOf(*task.plan, counters);
+    for (RoundTask& task : tasks) {
+      // All totals but facts_inserted are added before the commit,
+      // whose governor trip message reports them.
+      EvalStats totals = TotalsOf(*task.plan, task.counters);
       if (ctx.stats != nullptr) *ctx.stats += totals;
 
-      // Commit: insert this task's staged tuples into the full
-      // relation, part after part — the parts read consecutive delta
-      // row ranges, so this is the serial emission order. The parts
-      // staged nothing full held before the round (the executor checks
-      // the frozen head), and dedup within a part came free from its
-      // staged relation; cross-part and cross-task duplicates fall out
-      // of the one Insert against full. Skipped for a failed round: the
-      // round's results are discarded, exactly as the serial early
-      // return discards its staging.
+      // Commit: move this task's staged tuples into the full relation,
+      // part after part. The parts staged nothing full held before the
+      // round (the executor checks the frozen head), and dedup within a
+      // part came free from its staged relation; cross-part and
+      // cross-task duplicates fall out of the one Insert against full.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
       if (!failed) {
-        Relation& full = *task.head;
-        for (const RoundPart& part : task.parts) {
-          for (const Tuple& t : part.staged.tuples()) {
-            if (!full.Insert(t)) continue;
+        Relation& full = *slots.derived[static_cast<size_t>(task.plan->head)];
+        for (RoundPart& part : task.parts) {
+          for (Tuple& t : part.staged.TakeRows()) {
+            if (!full.Insert(std::move(t))) continue;
             ++inserted;
             if (ctx.governor != nullptr && commit_status.ok()) {
               commit_status = ctx.governor->OnDerived(
@@ -219,37 +140,37 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
             }
           }
         }
-        if (task.partitions > 1) {
-          // One breadcrumb per partitioned commit: which head, how wide
-          // the fan-out, how many commits survived dedup.
+        if (task.parts.size() > 1) {
+          // One breadcrumb per split commit: which head, how many
+          // parts, how many commits survived dedup.
           FlightRecorder::Record(FlightEventKind::kPartitionCommit,
                                  task.plan->head_pred.c_str(),
-                                 task.partitions,
+                                 static_cast<int64_t>(task.parts.size()),
                                  static_cast<int64_t>(inserted),
                                  static_cast<int64_t>(round));
         }
       }
-      counters.steps.back().rows_emitted = inserted;
+      task.counters.steps.back().rows_emitted = inserted;
       totals.facts_inserted = inserted;
       if (ctx.stats != nullptr) ctx.stats->facts_inserted += inserted;
       const size_t clause = static_cast<size_t>(task.plan->clause_index);
       if (ctx.analyze != nullptr && clause < ctx.analyze->rules.size()) {
         std::vector<StepCounters>& dst = ctx.analyze->rules[clause].steps;
-        if (dst.size() == counters.steps.size()) {
-          for (size_t k = 0; k < dst.size(); ++k) dst[k] += counters.steps[k];
+        const std::vector<StepCounters>& src = task.counters.steps;
+        if (dst.size() == src.size()) {
+          for (size_t k = 0; k < dst.size(); ++k) dst[k] += src[k];
         }
       }
 
-      // Absorb the parts' private derivations, still in (task,
-      // partition) order: first-derivation-wins against everything
-      // absorbed so far makes the combined store identical to what an
-      // unpartitioned serial loop records. The retained bytes were
-      // deferred by the parts and are charged here, like the
-      // committed-insert charges above.
+      // Absorb the parts' private derivations, still in part order:
+      // first-derivation-wins against everything absorbed so far makes
+      // the combined store identical to what a serial loop records. The
+      // retained bytes were deferred by the parts and are charged here,
+      // like the committed-insert charges above.
       if (ctx.provenance != nullptr) {
         size_t prov_bytes = 0;
-        for (size_t pi = 0; pi <= last_part; ++pi) {
-          prov_bytes += ctx.provenance->Absorb(&task.parts[pi].prov);
+        for (RoundPart& part : task.parts) {
+          prov_bytes += ctx.provenance->Absorb(&part.prov);
         }
         if (ctx.governor != nullptr && prov_bytes > 0 &&
             commit_status.ok()) {
@@ -264,7 +185,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         rp.tuples_considered += totals.tuples_considered;
         rp.facts_derived += totals.facts_derived;
         rp.facts_inserted += totals.facts_inserted;
-        rp.self_ns += task_self_ns;
+        rp.self_ns += task.self_ns;
       }
 
       if (ctx.trace != nullptr) {
@@ -280,26 +201,26 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
           args.push_back(
               TraceArg::Str("delta", task.plan->steps[step].predicate));
           args.push_back(TraceArg::Num("delta_size", d.end - d.begin));
-          // The partition fanout is deliberately NOT a trace arg: traces
-          // are part of the byte-identical --jobs contract, and the
-          // fanout is physical scheduling detail like thread ids.
+          // The part count is deliberately NOT a trace arg: traces are
+          // part of the byte-identical --jobs contract, and the split
+          // is physical scheduling detail like thread ids.
         }
         args.push_back(TraceArg::Num("considered", totals.tuples_considered));
         args.push_back(TraceArg::Num("derived", totals.facts_derived));
         args.push_back(TraceArg::Num("inserted", totals.facts_inserted));
-        if (failed && ti == fail_task) {
-          args.push_back(TraceArg::Str("status", round_error.ToString()));
+        if (!task.status.ok()) {
+          args.push_back(TraceArg::Str("status", task.status.ToString()));
         }
         ctx.trace->CompleteWithDuration("rule " + task.plan->head_pred,
-                                        "rule", task.parts[0].start_us,
-                                        task_self_ns / 1000,
+                                        "rule", task.start_us,
+                                        task.self_ns / 1000,
                                         std::move(args));
       }
 
-      if (failed && ti == fail_task) return round_error;
+      IDLOG_RETURN_NOT_OK(task.status);
       IDLOG_RETURN_NOT_OK(commit_status);
     }
-    return round_error;
+    return Status::OK();
   };
 
   // Round 0 runs every rule over the full relations. Later rounds
@@ -335,7 +256,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         RoundTask task;
         task.plan = plan;
         task.delta_step = step;
-        task.partitions = resolve_fanout(*plan, step);
         tasks.push_back(std::move(task));
       }
     }

@@ -1,9 +1,11 @@
 #include "exec/round_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "common/failpoint.h"
@@ -13,8 +15,9 @@ namespace idlog {
 
 namespace {
 
-constexpr const char kAbortMarker[] =
-    "round aborted: an earlier task in this round failed";
+/// Step 0 must read at least this many rows before a task is worth
+/// splitting (below it the per-part setup outweighs the scan).
+constexpr size_t kMinPartitionRows = 2;
 
 /// Runs `fn` and converts any exception escaping it into an Internal
 /// status naming `what`. Rule binding and evaluation report through
@@ -34,18 +37,18 @@ Status CatchAsStatus(const char* what, Fn&& fn) {
   }
 }
 
-/// Evaluates one part: sets up the part-private context (counters and
-/// provenance store) and converts any escaping exception into the
-/// part's Status.
+/// Evaluates one part, the `index`-th in (task, part) order, unless a
+/// part before it has failed: sets up the part-private context
+/// (counters and provenance store), converts any escaping exception
+/// into the part's Status, and on failure lowers `first_failed` to
+/// `index`.
 void RunPart(const EvalContext& base_ctx, const RoundTask& task,
-             RoundPart* part, std::atomic<bool>* abort) {
-  if (abort->load(std::memory_order_relaxed)) {
-    part->status = Status::Internal(kAbortMarker);
-    return;
-  }
+             size_t index, RoundPart* part,
+             std::atomic<size_t>* first_failed) {
+  if (first_failed->load(std::memory_order_relaxed) < index) return;
   EvalContext ctx = base_ctx;
-  // Attribution happens in the driver's deterministic fold; parts only
-  // count, into their private buffer, and never touch the shared
+  // Attribution happens in the driver, from the folded counters; parts
+  // only count, into their private buffer, and never touch the shared
   // totals, trace, profile or analysis.
   ctx.stats = nullptr;
   ctx.trace = nullptr;
@@ -53,9 +56,6 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   ctx.analyze = nullptr;
   ctx.counters = &part->counters;
   ctx.head = task.head;
-  // Derivations go to the part's private store; the driver absorbs them
-  // in (task, partition) order (first-derivation-wins), so the final
-  // store matches a serial run byte-for-byte.
   if (base_ctx.provenance != nullptr) ctx.provenance = &part->prov;
   if (base_ctx.trace != nullptr) part->start_us = base_ctx.trace->NowUs();
   auto t0 = std::chrono::steady_clock::now();
@@ -70,63 +70,60 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  if (!part->status.ok()) abort->store(true, std::memory_order_relaxed);
+  if (part->status.ok()) return;
+  size_t seen = first_failed->load(std::memory_order_relaxed);
+  while (index < seen &&
+         !first_failed->compare_exchange_weak(seen, index,
+                                              std::memory_order_relaxed)) {
+  }
+}
+
+/// The number of parts `task` splits into: the rows its step-0 scan
+/// reads, clamped to the pool size, when that scan has no index.
+size_t PartsOf(const RoundTask& task, const ThreadPool* pool) {
+  if (pool == nullptr || task.plan->steps.empty() ||
+      task.plan->steps[0].kind != PlanStep::Kind::kScan ||
+      task.bound[0].index != nullptr) {
+    return 1;
+  }
+  const size_t rows = task.bound[0].end - task.bound[0].begin;
+  if (rows < kMinPartitionRows) return 1;
+  return std::min(rows, static_cast<size_t>(pool->size()));
 }
 
 }  // namespace
-
-bool IsRoundAbortMarker(const Status& s) {
-  return !s.ok() && s.message() == kAbortMarker;
-}
 
 Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
                      std::vector<RoundTask>* tasks) {
   // Bind every task here, before any part runs: each step's relation
   // comes from the slots and each index a keyed scan probes is built or
-  // extended now, on this thread, so no part ever mutates an index. The
-  // bind counters go to the first part, whose counters the driver
-  // always folds in for a task it reaches.
-  size_t total_parts = 0;
+  // extended now, on this thread, so no part ever mutates an index.
+  std::vector<std::function<void()>> jobs;
+  std::atomic<size_t> first_failed{std::numeric_limits<size_t>::max()};
   for (RoundTask& task : *tasks) {
-    for (RoundPart& part : task.parts) {
-      part.counters.steps.assign(task.plan->steps.size() + 1,
-                                 StepCounters());
-    }
+    const size_t counters = task.plan->steps.size() + 1;
+    task.counters.steps.assign(counters, StepCounters());
     IDLOG_RETURN_NOT_OK(CatchAsStatus("round task bind", [&] {
       return BindRule(*task.plan, slots, task.delta_step,
-                      base_ctx.use_indexes, &task.parts.front().counters,
-                      &task.bound);
+                      base_ctx.use_indexes, &task.counters, &task.bound);
     }));
-    // Of the n delta rows from `first` on, part k of K reads [first +
-    // n·k/K, first + n·(k+1)/K). Only an unkeyed delta scan at step 0
-    // fans out: its serial emission order is delta-row order, so the
-    // parts, in index order, emit exactly the serial sequence.
-    const size_t parts = task.parts.size();
-    if (parts > 1 && (task.delta_step != 0 || task.bound[0].index != nullptr)) {
-      return Status::Internal("only an unkeyed delta scan at step 0 fans out");
-    }
+    const size_t parts = PartsOf(task, base_ctx.pool);
+    task.parts.clear();
+    task.parts.resize(parts);
     for (size_t k = 0; k < parts; ++k) {
-      task.parts[k].bound = task.bound;
-      if (parts == 1) continue;
-      const size_t first = task.bound[0].begin;
-      const size_t n = task.bound[0].end - first;
-      task.parts[k].bound[0].begin = first + n * k / parts;
-      task.parts[k].bound[0].end = first + n * (k + 1) / parts;
-    }
-    total_parts += parts;
-  }
-
-  // One failed (or throwing) part cancels the round: parts not yet
-  // started when the flag goes up return an abort marker instead of
-  // evaluating. The driver's in-order merge skips the markers and
-  // surfaces the first real error.
-  std::atomic<bool> abort{false};
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(total_parts);
-  for (RoundTask& task : *tasks) {
-    for (RoundPart& part : task.parts) {
-      jobs.push_back([&base_ctx, &abort, &task, &part] {
-        RunPart(base_ctx, task, &part, &abort);
+      RoundPart& part = task.parts[k];
+      part.bound = task.bound;
+      if (parts > 1) {
+        const size_t first = task.bound[0].begin;
+        const size_t n = task.bound[0].end - first;
+        part.bound[0].begin = first + n * k / parts;
+        part.bound[0].end = first + n * (k + 1) / parts;
+      }
+      part.staged = Relation(task.head->type());
+      part.counters.steps.assign(counters, StepCounters());
+      jobs.push_back([&base_ctx, &task, &part, &first_failed,
+                      index = jobs.size()] {
+        RunPart(base_ctx, task, index, &part, &first_failed);
       });
     }
   }
@@ -135,6 +132,31 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
     pool->Run(std::move(jobs));
   } else {
     for (const std::function<void()>& job : jobs) job();
+  }
+
+  // Fold each task's parts in order, up to the first failure, and drop
+  // whatever follows it: the cutoff of a serial loop's early return.
+  // The parts read disjoint step-0 rows, so each sum is what one
+  // unsplit evaluation counts, except that every part enters step 0,
+  // which that evaluation enters once: its rows_in, the task's firing,
+  // is capped at 1.
+  for (size_t ti = 0; ti < tasks->size(); ++ti) {
+    RoundTask& task = (*tasks)[ti];
+    task.start_us = task.parts.front().start_us;
+    for (size_t pi = 0; pi < task.parts.size(); ++pi) {
+      const RoundPart& part = task.parts[pi];
+      for (size_t k = 0; k < part.counters.steps.size(); ++k) {
+        task.counters.steps[k] += part.counters.steps[k];
+      }
+      task.self_ns += part.self_ns;
+      if (!part.status.ok()) {
+        task.status = part.status;
+        task.parts.resize(pi + 1);
+        tasks->resize(ti + 1);
+      }
+    }
+    uint64_t& firings = task.counters.steps.front().rows_in;
+    firings = std::min<uint64_t>(firings, 1);
   }
   return Status::OK();
 }

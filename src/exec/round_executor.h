@@ -13,90 +13,78 @@
 
 namespace idlog {
 
-/// One part of a round task: its own binding, private staging, private
-/// counters, private provenance and its status. Unpartitioned tasks
-/// have exactly one part covering the whole delta; part k of K reads
-/// the k-th contiguous row range of it.
+/// One contiguous row range of a round task's step-0 scan, evaluated on
+/// its own: a task that does not split has one part covering the whole
+/// binding. Its outputs are private, so parts run concurrently; in
+/// index order they emit exactly what the unsplit task emits.
 struct RoundPart {
-  std::vector<BoundStep> bound; ///< The task's binding with the delta
-                                ///< narrowed to this part's rows (set by
-                                ///< RunRoundTasks).
-  Relation staged;              ///< Private output; typed by the driver.
-  RuleStepStats counters;       ///< Per-step counters, sized steps+1 by
-                                ///< RunRoundTasks; the emit entry's
-                                ///< rows_emitted is left 0 — Commit
-                                ///< decides what is new.
-  ProvenanceStore prov;         ///< Private derivations recorded by the
-                                ///< part (uncharged); the driver
-                                ///< absorbs them in (task, partition)
-                                ///< order, which reproduces the serial
-                                ///< first-derivation-wins store exactly.
+  std::vector<BoundStep> bound; ///< The task's binding with step 0
+                                ///< narrowed to this part's rows.
+  Relation staged;              ///< The heads the part derived that the
+                                ///< task's head lacks, typed as it.
+  RuleStepStats counters;       ///< The part's own counters (steps+1).
+  ProvenanceStore prov;         ///< Derivations the part recorded
+                                ///< (uncharged); the caller absorbs
+                                ///< them in part order.
   uint64_t start_us = 0;        ///< Trace timestamp at part start.
   uint64_t self_ns = 0;         ///< Wall time inside the evaluation.
-  Status status;                ///< The evaluation's status.
+  Status status;                ///< OK also for a part that was skipped
+                                ///< because an earlier part failed.
 };
 
-/// One independent `(rule, delta_step)` evaluation of a fixpoint round,
-/// possibly fanned out into `partitions` sub-evaluations that each read
-/// one contiguous row range of the delta. EvaluateStratum builds the
-/// task list in the exact order the serial loop would evaluate, the
-/// executor runs every part, and EvaluateStratum commits the private
-/// results in (task, partition) order — the serial emission order by
-/// construction, which is what makes every `--jobs N` byte-identical
-/// to serial.
+/// One `(rule, delta_step)` evaluation of a fixpoint round. The caller
+/// sets `plan`, `delta_step` and `head`; RunRoundTasks fills the rest
+/// with what one serial evaluation of the task would have produced.
 struct RoundTask {
   const RulePlan* plan = nullptr;
-  int delta_step = -1;          ///< -1 = full evaluation (round 0 / naive).
-  int partitions = 1;           ///< Fan-out; > 1 only for eligible
-                                ///< delta-step-0 tasks (see the driver).
-  std::vector<RoundPart> parts; ///< Sized `partitions` by the driver.
-  Relation* head = nullptr;     ///< The full relation Commit inserts
-                                ///< into and parts stage nothing it
-                                ///< holds (set by the driver).
-  std::vector<BoundStep> bound; ///< Per plan step: relation, rows and
-                                ///< index, the delta unsplit (set by
-                                ///< RunRoundTasks).
+  int delta_step = -1;            ///< -1 = full evaluation (round 0,
+                                  ///< naive mode or VerifyModel).
+  const Relation* head = nullptr; ///< The relation the staged heads are
+                                  ///< judged against: parts stage
+                                  ///< nothing it holds. Frozen while
+                                  ///< the tasks run.
+  std::vector<BoundStep> bound;   ///< Per plan step: relation, rows and
+                                  ///< index, unsplit.
+  std::vector<RoundPart> parts;   ///< In row order, up to the first
+                                  ///< failing part.
+  RuleStepStats counters;         ///< The bind counters plus every
+                                  ///< part's, step-0 rows_in capped at
+                                  ///< 1; emit rows_emitted stays 0 for
+                                  ///< the caller's commit.
+  uint64_t start_us = 0;          ///< The first part's start_us.
+  uint64_t self_ns = 0;           ///< Summed over the parts.
+  Status status;                  ///< The first failing part's status.
 };
 
-/// Binds every task (BindRule, on the calling thread: each step's
-/// relation from `slots`, each probed index built or extended, bind
-/// counters into the task's first part), gives part k of K a copy of
-/// the binding whose delta reads the k-th contiguous range of its rows,
-/// then evaluates every part of every task, each into its private
-/// `staged` relation and `counters`, and returns when all have
-/// finished. With `base_ctx.pool` set and more than one part, parts run
-/// concurrently; otherwise they run in order on the calling thread.
-/// Either way they read only what was bound, and the relations and
-/// indexes stay frozen until the driver commits. Staged-insert
-/// accounting (emit rows_emitted, governor OnDerived charges,
-/// provenance byte charges) is the driver's job at Commit, where "new"
-/// is judged against the full relation — the definition that is
-/// invariant across jobs. The
-/// shared ResourceGovernor is still probed from all workers (it is
-/// thread-safe), so deadlines and cancellation interrupt long scans.
-/// When `base_ctx.provenance` is set, each part records derivations
-/// into its private `prov` store; EvaluateStratum absorbs those stores
-/// in (task, partition) order.
+/// Runs one round of tasks and hands back what a serial loop would
+/// have produced: the tasks up to and including the first failing one.
 ///
-/// Per-part failures are reported in RoundPart::status and left to the
-/// driver. A failing (or throwing — exceptions are converted to Status
-/// inside the part) evaluation cancels the round: parts not yet started
-/// are marked aborted instead of running. The pool claims queued parts
-/// in index order, but claim order is not completion order — a part
-/// claimed before the failure can still observe the abort flag after a
-/// later-indexed part failed, so the driver must skip abort markers and
-/// surface the first *real* error in part order (IsRoundAbortMarker
-/// identifies the markers). A governor trip additionally latches, so
-/// parts already running unwind at their next checkpoint. The returned
-/// Status covers binding failures only, an exception thrown while
-/// binding (converted to Internal) included.
+/// Every task is bound first, on the calling thread (BindRule: each
+/// step's relation from `slots`, each probed index built or extended,
+/// bind counters into the task), so no part ever mutates an index.
+/// With `base_ctx.pool` set, a task whose plan step 0 is a scan bound
+/// without an index over at least kMinPartitionRows rows then splits
+/// into K = min(pool size, rows) parts, part k of K reading rows
+/// [first + n·k/K, first + n·(k+1)/K) of that step's n rows. That holds
+/// whether the scan reads a delta or a full relation: step 0's rows are
+/// the outermost loop, so the parts in index order emit the serial
+/// sequence and no step is scanned twice. K depends only on the pool
+/// size and the round's contents, never on scheduling.
+///
+/// Parts run concurrently on the pool, else in order on the calling
+/// thread, each into its private staging, counters and provenance
+/// store (when `base_ctx.provenance` is set), reading only what was
+/// bound; the shared governor is probed from every part, so deadlines
+/// and cancellation interrupt long scans. A failing or throwing part
+/// (exceptions become its Status) makes parts after it in (task, part)
+/// order skip their evaluation; parts before it always run to the end.
+/// Whatever follows the first failure is then dropped, and each
+/// remaining task folds its parts into its `counters`, `start_us`,
+/// `self_ns` and `status`. Whether a staged tuple is new, and what it
+/// costs, is the caller's commit to decide. The returned Status covers
+/// binding only, an exception thrown while binding (Internal) included.
 Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
                      std::vector<RoundTask>* tasks);
-
-/// True if `s` is the synthetic "round aborted" marker RunRoundTasks
-/// assigns to parts that were skipped because an earlier failure
-/// cancelled the round (as opposed to a real evaluation error).
-bool IsRoundAbortMarker(const Status& s);
 
 }  // namespace idlog
 

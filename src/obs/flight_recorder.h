@@ -19,7 +19,7 @@ namespace idlog {
 ///   kRunEnd           label=status code name, a=ok(1)/failed(0)
 ///   kRoundStart       a=stratum, b=round, c=tasks
 ///   kRoundCommit      a=stratum, b=round, c=new facts this round
-///   kPartitionCommit  label=head predicate, a=partitions, b=inserted, c=round
+///   kPartitionCommit  label=head predicate, a=parts, b=inserted, c=round
 ///   kIndexBuild       label=column list ("0,2"), a=rows indexed, b=keys
 ///   kCheckpointSection label=section name ("META".."END"), a=payload bytes
 ///   kGovernorMemory   label="memory", a=bytes charged, b=milestone crossed

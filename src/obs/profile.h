@@ -19,7 +19,7 @@ struct RuleProfile {
   std::string head_pred;
   std::string rule;  ///< Rendered clause text (may be empty).
   int stratum = -1;
-  uint64_t evals = 0;    ///< EvaluateRuleInto calls (incl. empty-delta).
+  uint64_t evals = 0;    ///< Round tasks run (incl. empty-delta).
   uint64_t firings = 0;  ///< Calls that actually scanned (non-empty delta).
   uint64_t tuples_considered = 0;
   uint64_t facts_derived = 0;

@@ -141,6 +141,12 @@ void Relation::Clear() {
   ++clear_generation_;
 }
 
+std::vector<Tuple> Relation::TakeRows() {
+  std::vector<Tuple> rows = std::move(rows_);
+  Clear();
+  return rows;
+}
+
 const ColumnIndex& Relation::IndexOn(const std::vector<int>& cols,
                                      bool* built) const {
   auto [it, created] = indexes_.try_emplace(cols, cols);

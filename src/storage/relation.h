@@ -89,6 +89,10 @@ class Relation {
   /// Removes all tuples and drops every index.
   void Clear();
 
+  /// Hands over every row, in insertion order, and leaves the relation
+  /// empty as Clear does.
+  std::vector<Tuple> TakeRows();
+
   /// The index on `cols`, built on first use and extended by the rows
   /// appended since its last use; `*built` (when given) says whether it
   /// did either. Rows only grow between the calls that drop every index

@@ -168,6 +168,34 @@ TEST_F(FlightRecorderTest, RunRecordsRoundsAndRunBoundaries) {
   EXPECT_GT(CountKind(json, "index-build"), 0u);
 }
 
+// Right-linear closure differentiates plan step 1, not step 0, so its
+// tasks split on the step-0 edge scan: a pool commits split tasks, and
+// a serial run commits none.
+TEST_F(FlightRecorderTest, RightLinearClosureSplitsOnlyWithAPool) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    FlightRecorder& rec = FlightRecorder::Instance();
+    rec.Arm(4096);
+    IdlogEngine engine;
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
+                                      "n" + std::to_string(i + 1)})
+                      .ok());
+    }
+    engine.SetThreads(jobs);
+    ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
+                                       "p(X, Z) :- e(X, Y), p(Y, Z).")
+                    .ok());
+    ASSERT_TRUE(engine.Run().ok());
+    const size_t commits = CountKind(rec.ToJson(), "partition-commit");
+    if (jobs == 1) {
+      EXPECT_EQ(commits, 0u);
+    } else {
+      EXPECT_GT(commits, 0u);
+    }
+  }
+}
+
 // A governor trip with NO trace sink installed still produces a
 // non-empty flight dump carrying the trip event — the acceptance
 // criterion that makes the recorder a true black box.

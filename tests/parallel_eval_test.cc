@@ -71,8 +71,9 @@ TEST(ThreadPool, EmptyBatchIsANoop) {
 // Pins the claim-order invariant Run() documents: every thread takes
 // the lowest unclaimed index under the pool mutex, so the observed
 // claim sequence is exactly 0, 1, 2, ... regardless of which thread
-// claims or how long tasks run. The round executor's abort protocol
-// depends on this ordering.
+// claims or how long tasks run. The round executor relies on it to
+// waste little work after a failure: parts after a failed one that
+// have not started skip their evaluation.
 TEST(ThreadPool, ClaimsTasksStrictlyInIndexOrder) {
   ThreadPool pool(4);
   // The observer runs under the pool mutex, so appends are serialized
@@ -552,9 +553,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCorpus, ::testing::Range(0, 40));
 // --------------------------------------------------------------------
 // --jobs sweep: every thread count must reproduce the --jobs 1 run byte
 // for byte — answers, logical stats, profiles, trace shape, EXPLAIN
-// ANALYZE JSON and WHY proofs. A heavy task splits into as many
-// contiguous delta row ranges as there are threads, so the sweep also
-// crosses every fan-out width these counts give.
+// ANALYZE JSON and WHY proofs. A task whose step 0 is an unindexed
+// scan splits into as many contiguous row ranges as there are threads,
+// so the sweep also crosses every split width these counts give.
 
 constexpr int kSweepJobs[] = {2, 3, 4, 8};
 
@@ -570,11 +571,9 @@ void ExpectSweepMatchesBaseline(
   }
 }
 
-// The tc_parallel workload's shape: a single recursive transitive-
-// closure rule with the recursive subgoal outermost, where splitting
-// the delta is the only parallelism available. Branchy edges so the
-// parts overlap in the heads they derive.
-TEST(JobsSweep, SingleRecursiveRuleTransitiveClosure) {
+// A 14-node ring with a chord from every third node: branchy, so the
+// parts of a split task overlap in the heads they derive.
+std::vector<std::vector<std::string>> BranchyRing() {
   std::vector<std::vector<std::string>> edb;
   for (int i = 0; i < 14; ++i) {
     edb.push_back({"edge", "n" + std::to_string(i),
@@ -584,10 +583,26 @@ TEST(JobsSweep, SingleRecursiveRuleTransitiveClosure) {
                      "n" + std::to_string((i + 5) % 14)});
     }
   }
+  return edb;
+}
+
+// The tc_parallel workload's shape: a single recursive transitive-
+// closure rule with the recursive subgoal outermost, where splitting
+// the delta is the only parallelism available.
+TEST(JobsSweep, SingleRecursiveRuleTransitiveClosure) {
   ExpectSweepMatchesBaseline(
       "path(X, Y) :- edge(X, Y)."
       "path(X, Z) :- path(X, Y), edge(Y, Z).",
-      edb, {"path"});
+      BranchyRing(), {"path"});
+}
+
+// The same closure right-linear: the delta is plan step 1, so every
+// task splits on its step-0 edge scan, in round 0 and after.
+TEST(JobsSweep, RightLinearTransitiveClosure) {
+  ExpectSweepMatchesBaseline(
+      "path(X, Y) :- edge(X, Y)."
+      "path(X, Z) :- edge(X, Y), path(Y, Z).",
+      BranchyRing(), {"path"});
 }
 
 class JobsSweepCorpus : public ::testing::TestWithParam<int> {};
@@ -685,33 +700,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClosureAgainstBfs,
                          ::testing::Values(11u, 12u, 13u));
 
 // --------------------------------------------------------------------
-// Contiguous delta ranges: part k of K reads the k-th row range of the
-// delta, so the parts' staged tuples, concatenated in part order with
-// repeats dropped, are exactly what one unpartitioned evaluation
-// stages. That is why the commit can walk a task's parts in index order
-// with no merge.
+// Contiguous row ranges: with a pool, a task whose step 0 is an
+// unindexed scan splits, and part k of K reads the k-th row range of
+// that scan, delta or full relation alike. The parts' staged tuples,
+// concatenated in part order with repeats dropped, are then exactly
+// what one unsplit evaluation stages. That is why the commit can walk
+// a task's parts in index order with no merge.
 
-// Runs one semi-naive task (delta at step 0) through the round executor
-// as `partitions` parts and returns each part's staged tuples, rendered.
+// Runs one task through the round executor, on `pool` when given, and
+// returns each part's staged tuples, rendered.
 std::vector<std::vector<std::string>> StagedByPart(
-    const RulePlan& plan, const RelationSlots& slots, Relation* head,
-    int partitions) {
+    const RulePlan& plan, const RelationSlots& slots, const Relation& head,
+    int delta_step, ThreadPool* pool) {
   std::vector<RoundTask> tasks(1);
   RoundTask& task = tasks[0];
   task.plan = &plan;
-  task.delta_step = 0;
-  task.partitions = partitions;
-  task.head = head;
-  task.parts.resize(static_cast<size_t>(partitions));
-  for (int p = 0; p < partitions; ++p) {
-    task.parts[static_cast<size_t>(p)].staged = Relation(head->type());
-  }
-  Status st = RunRoundTasks(EvalContext(), slots, &tasks);
+  task.delta_step = delta_step;
+  task.head = &head;
+  EvalContext ctx;
+  ctx.pool = pool;
+  Status st = RunRoundTasks(ctx, slots, &tasks);
   EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(task.status.ok()) << task.status.ToString();
   const SymbolTable no_symbols;
   std::vector<std::vector<std::string>> staged;
   for (const RoundPart& part : task.parts) {
-    EXPECT_TRUE(part.status.ok()) << part.status.ToString();
     staged.emplace_back();
     for (const Tuple& t : part.staged.tuples()) {
       staged.back().push_back(TupleToString(t, no_symbols));
@@ -720,63 +733,145 @@ std::vector<std::vector<std::string>> StagedByPart(
   return staged;
 }
 
-TEST(DeltaRanges, PartsConcatenateToTheSerialStaging) {
-  SymbolTable symbols;
-  auto program =
-      ParseProgram("path(X, Z) :- path(X, Y), edge(Y, Z).", &symbols);
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  auto compiled = CompileRule(program->clauses[0]);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  RulePlan plan = std::move(*compiled);
-  ASSERT_EQ(plan.steps[0].predicate, "path");
-  ASSERT_TRUE(plan.steps[0].key_cols.empty());
-  plan.head = program->FindPredicate("path");
-  for (PlanStep& step : plan.steps) {
-    step.rel = program->FindPredicate(step.predicate);
-  }
-
-  // A branchy random graph, so distinct delta rows derive the same
-  // heads. The delta is round 0's path: the edges themselves, i.e. all
-  // of path's rows from row 0 on.
-  const RelationType type = {Sort::kI, Sort::kI};
-  Relation edge(type);
-  std::mt19937 rng(7);
-  for (int i = 0; i < 60; ++i) {
-    edge.Insert({Value::Number(rng() % 20), Value::Number(rng() % 20)});
-  }
-  Relation path = edge;
-  const size_t n = program->predicates.size();
-  RelationSlots slots;
-  slots.full.assign(n, nullptr);
-  slots.derived.assign(n, nullptr);
-  slots.delta.assign(n, DeltaSlot());
-  const size_t path_slot = static_cast<size_t>(plan.head);
-  const size_t edge_slot =
-      static_cast<size_t>(program->FindPredicate("edge"));
-  slots.full[path_slot] = &path;
-  slots.full[edge_slot] = &edge;
-  slots.derived[path_slot] = &path;
-  slots.delta[path_slot].mark = 0;
-
-  std::vector<std::string> serial =
-      StagedByPart(plan, slots, &path, 1).front();
-  std::vector<std::vector<std::string>> parts =
-      StagedByPart(plan, slots, &path, 3);
-  ASSERT_EQ(parts.size(), 3u);
-  std::vector<std::string> concatenated;
-  std::set<std::string> seen;
-  size_t staged_total = 0;
-  for (const std::vector<std::string>& part : parts) {
-    EXPECT_FALSE(part.empty());
-    staged_total += part.size();
-    for (const std::string& t : part) {
-      if (seen.insert(t).second) concatenated.push_back(t);
+// One round's inputs: the closure plans below over a branchy random
+// graph, so distinct rows derive the same heads. The delta is round 0's
+// path: the edges themselves, i.e. all of path's rows from row 0 on.
+class DeltaRanges : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto program = ParseProgram(
+        "path(X, Z) :- path(X, Y), edge(Y, Z).\n"
+        "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
+        "from3(Z) :- edge(3, Y), path(Y, Z).\n"
+        "path(100, 200).\n",
+        &symbols_);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    for (const Clause& clause : program->clauses) {
+      auto compiled = CompileRule(clause);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      RulePlan plan = std::move(*compiled);
+      plan.head = program->FindPredicate(plan.head_pred);
+      for (PlanStep& step : plan.steps) {
+        step.rel = program->FindPredicate(step.predicate);
+      }
+      plans_.push_back(std::move(plan));
     }
+    ASSERT_TRUE(left().steps[0].key_cols.empty());
+    ASSERT_TRUE(right().steps[0].key_cols.empty());
+    ASSERT_EQ(right().steps[1].predicate, "path");
+    ASSERT_FALSE(keyed().steps[0].key_cols.empty());
+    ASSERT_TRUE(fact().steps.empty());
+
+    std::mt19937 rng(7);
+    for (int i = 0; i < 60; ++i) {
+      edge_.Insert({Value::Number(rng() % 20), Value::Number(rng() % 20)});
+    }
+    path_ = edge_;
+    const size_t n = program->predicates.size();
+    slots_.full.assign(n, nullptr);
+    slots_.derived.assign(n, nullptr);
+    slots_.delta.assign(n, DeltaSlot());
+    const size_t path_slot = static_cast<size_t>(left().head);
+    const size_t edge_slot =
+        static_cast<size_t>(program->FindPredicate("edge"));
+    slots_.full[path_slot] = &path_;
+    slots_.full[edge_slot] = &edge_;
+    slots_.derived[path_slot] = &path_;
+    slots_.delta[path_slot].mark = 0;
   }
-  // Some heads were staged by two parts; dropping those repeats leaves
-  // the serial sequence.
-  EXPECT_GT(staged_total, serial.size());
-  EXPECT_EQ(concatenated, serial);
+
+  const RulePlan& left() const { return plans_[0]; }
+  const RulePlan& right() const { return plans_[1]; }
+  const RulePlan& keyed() const { return plans_[2]; }
+  const RulePlan& fact() const { return plans_[3]; }
+
+  SymbolTable symbols_;
+  std::vector<RulePlan> plans_;
+  Relation edge_{{Sort::kI, Sort::kI}};
+  Relation path_;
+  Relation from3_{{Sort::kI}};
+  RelationSlots slots_;
+};
+
+TEST_F(DeltaRanges, PartsConcatenateToTheSerialStaging) {
+  ThreadPool pool(3);
+  struct Case {
+    const char* name;
+    const RulePlan* plan;
+    int delta_step;
+    const Relation* head;
+    size_t parts;
+  };
+  const Case cases[] = {
+      {"left-linear, delta at step 0", &left(), 0, &path_, 3},
+      {"right-linear, delta at step 1", &right(), 1, &path_, 3},
+      {"round 0, no delta", &left(), -1, &path_, 3},
+      {"keyed step 0", &keyed(), -1, &from3_, 1},
+      {"no steps", &fact(), -1, &path_, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::vector<std::string>> serial =
+        StagedByPart(*c.plan, slots_, *c.head, c.delta_step, nullptr);
+    ASSERT_EQ(serial.size(), 1u);
+    std::vector<std::vector<std::string>> parts =
+        StagedByPart(*c.plan, slots_, *c.head, c.delta_step, &pool);
+    ASSERT_EQ(parts.size(), c.parts);
+    std::vector<std::string> concatenated;
+    std::set<std::string> seen;
+    size_t staged_total = 0;
+    for (const std::vector<std::string>& part : parts) {
+      staged_total += part.size();
+      for (const std::string& t : part) {
+        if (seen.insert(t).second) concatenated.push_back(t);
+      }
+    }
+    EXPECT_FALSE(serial.front().empty());
+    EXPECT_EQ(concatenated, serial.front());
+    // Some heads of the left-linear split were staged by two parts;
+    // dropping those repeats leaves the serial sequence.
+    if (c.plan == &left()) EXPECT_GT(staged_total, serial.front().size());
+  }
+}
+
+// A failure cuts the round where a serial loop stops: the tasks before
+// the failing one come back whole, the failing task keeps its parts up
+// to the failing part, and everything after is dropped. Serially the
+// failpoint's second hit is the second task; on a pool it is whichever
+// part hits it second, and the cutoff must still hold.
+TEST_F(DeltaRanges, AFailureCutsTheRoundWhereASerialLoopStops) {
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    std::vector<RoundTask> tasks(3);
+    for (RoundTask& task : tasks) {
+      task.plan = &left();
+      task.delta_step = 0;
+      task.head = &path_;
+    }
+    EvalContext ctx;
+    ctx.pool = p;
+    Failpoints::Instance().Reset();
+    ASSERT_TRUE(Failpoints::Instance().ArmFromSpec("exec.round.task:2").ok());
+    Status st = RunRoundTasks(ctx, slots_, &tasks);
+    Failpoints::Instance().Reset();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_FALSE(tasks.empty());
+    if (p == nullptr) EXPECT_EQ(tasks.size(), 2u);
+    for (size_t ti = 0; ti + 1 < tasks.size(); ++ti) {
+      EXPECT_TRUE(tasks[ti].status.ok()) << ti;
+      EXPECT_EQ(tasks[ti].parts.size(), p == nullptr ? 1u : 3u) << ti;
+    }
+    const RoundTask& failed = tasks.back();
+    EXPECT_NE(failed.status.message().find("exec.round.task"),
+              std::string::npos)
+        << failed.status.ToString();
+    for (size_t pi = 0; pi + 1 < failed.parts.size(); ++pi) {
+      EXPECT_TRUE(failed.parts[pi].status.ok()) << pi;
+    }
+    EXPECT_EQ(failed.parts.back().status.ToString(),
+              failed.status.ToString());
+  }
 }
 
 // --------------------------------------------------------------------

@@ -86,6 +86,32 @@ TEST(Relation, VersionAdvancesOnChange) {
   EXPECT_EQ(r.size(), 0u);
 }
 
+// TakeRows hands the rows over in insertion order and leaves the
+// relation empty, as Clear does: no membership, no index, a new clear
+// generation, and it takes rows again afterwards.
+TEST(Relation, TakeRowsEmptiesLikeClear) {
+  SymbolTable s;
+  Relation r(UU());
+  r.Insert(T(&s, {"z", "z"}));
+  r.Insert(T(&s, {"a", "b"}));
+  r.IndexOn({0});
+  const uint64_t generation = r.clear_generation();
+  const uint64_t version = r.version();
+  std::vector<Tuple> rows = r.TakeRows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(TupleToString(rows[0], s), "(z, z)");
+  EXPECT_EQ(TupleToString(rows[1], s), "(a, b)");
+  EXPECT_TRUE(r.empty());
+  EXPECT_FALSE(r.Contains(T(&s, {"a", "b"})));
+  EXPECT_TRUE(r.indexes().empty());
+  EXPECT_EQ(r.clear_generation(), generation + 1);
+  EXPECT_GT(r.version(), version);
+  EXPECT_TRUE(r.Insert(T(&s, {"a", "b"})));
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.TakeRows().size(), 1u);
+  EXPECT_TRUE(r.TakeRows().empty());
+}
+
 // --------------------------------------------------------------------
 // The membership table against an oracle: std::set for membership and
 // size, and a vector with linear-search swap-and-pop for row order.

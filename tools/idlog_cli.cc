@@ -16,8 +16,9 @@
 //                                        the first failing premise of
 //                                        the absent ground fact)
 //             [--why-json FILE]         (idlog-why-v1 JSON twin of
-//                                        --why / --why-not; written on
-//                                        every exit path)
+//                                        --why / --why-not, from the
+//                                        same run; not written when
+//                                        the explanation fails)
 //             [--explain-plan]          (static EXPLAIN of every rule
 //                                        plan; no evaluation, --query
 //                                        optional)
@@ -846,6 +847,11 @@ int RunBatch(int argc, char** argv) {
   // profile, so there is nothing to write without it.
   if (profile || !metrics_json.empty()) engine.EnableProfiling(true);
 
+  // The --why-json document, rendered next to the --why / --why-not
+  // text from the run that happened; finish() writes it if it exists
+  // (a rendered document is never empty).
+  std::string why_doc;
+
   // Final reporting, shared by every exit path past this point: the
   // trace and metrics files are written even when the run tripped a
   // budget or failed — a truncated run is exactly when they matter.
@@ -902,14 +908,8 @@ int RunBatch(int argc, char** argv) {
         if (code == 0) code = 1;
       }
     }
-    if (!why_json.empty()) {
-      // Also written on trips and failures: an explanation of what the
-      // truncated run *did* derive (or why it did not) is post-mortem
-      // material just like the trace.
-      idlog::Tuple tuple = FieldsToTuple(&engine.symbols(), why_fields);
-      auto doc = why ? engine.WhyJson(why_pred, tuple)
-                     : engine.WhyNotJson(why_pred, tuple);
-      Status wst = doc.ok() ? WriteFile(why_json, *doc) : doc.status();
+    if (!why_doc.empty()) {
+      Status wst = WriteFile(why_json, why_doc);
       if (!wst.ok()) {
         std::fprintf(stderr, "error: %s\n", wst.ToString().c_str());
         if (code == 0) code = 1;
@@ -1014,6 +1014,12 @@ int RunBatch(int argc, char** argv) {
     auto text = why ? engine.Why(why_pred, tuple)
                     : engine.WhyNot(why_pred, tuple);
     if (!text.ok()) return finish(Fail(text.status()));
+    if (!why_json.empty()) {
+      auto doc = why ? engine.WhyJson(why_pred, tuple)
+                     : engine.WhyNotJson(why_pred, tuple);
+      if (!doc.ok()) return finish(Fail(doc.status()));
+      why_doc = std::move(*doc);
+    }
     std::printf("%s", text->c_str());
     return finish(0);
   }
