@@ -1,11 +1,9 @@
 #include "exec/round_executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <string>
 
 #include "common/failpoint.h"
@@ -14,10 +12,6 @@
 namespace idlog {
 
 namespace {
-
-/// Step 0 must read at least this many rows before a task is worth
-/// splitting (below it the per-part setup outweighs the scan).
-constexpr size_t kMinPartitionRows = 2;
 
 /// Runs `fn` and converts any exception escaping it into an Internal
 /// status naming `what`. Rule binding and evaluation report through
@@ -37,15 +31,11 @@ Status CatchAsStatus(const char* what, Fn&& fn) {
   }
 }
 
-/// Evaluates one part, the `index`-th in (task, part) order, unless a
-/// part before it has failed: sets up the part-private context
-/// (counters and provenance store), converts any escaping exception
-/// into the part's Status, and on failure lowers `first_failed` to
-/// `index`.
+/// Evaluates one part: sets up the part-private context (counters and
+/// provenance store) and converts any escaping exception into the
+/// part's Status.
 void RunPart(const EvalContext& base_ctx, const RoundTask& task,
-             size_t index, RoundPart* part,
-             std::atomic<size_t>* first_failed) {
-  if (first_failed->load(std::memory_order_relaxed) < index) return;
+             RoundPart* part) {
   EvalContext ctx = base_ctx;
   // Attribution happens in the driver, from the folded counters; parts
   // only count, into their private buffer, and never touch the shared
@@ -70,12 +60,6 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  if (part->status.ok()) return;
-  size_t seen = first_failed->load(std::memory_order_relaxed);
-  while (index < seen &&
-         !first_failed->compare_exchange_weak(seen, index,
-                                              std::memory_order_relaxed)) {
-  }
 }
 
 /// The number of parts `task` splits into: the rows its step-0 scan
@@ -99,7 +83,7 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
   // comes from the slots and each index a keyed scan probes is built or
   // extended now, on this thread, so no part ever mutates an index.
   std::vector<std::function<void()>> jobs;
-  std::atomic<size_t> first_failed{std::numeric_limits<size_t>::max()};
+  jobs.reserve(tasks->size());
   for (RoundTask& task : *tasks) {
     const size_t counters = task.plan->steps.size() + 1;
     task.counters.steps.assign(counters, StepCounters());
@@ -120,11 +104,15 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
         part.bound[0].end = first + n * (k + 1) / parts;
       }
       part.staged = Relation(task.head->type());
-      part.counters.steps.assign(counters, StepCounters());
-      jobs.push_back([&base_ctx, &task, &part, &first_failed,
-                      index = jobs.size()] {
-        RunPart(base_ctx, task, index, &part, &first_failed);
-      });
+      // Part 0 counts on top of the bind counters, so an unsplit task
+      // needs no second counter buffer.
+      if (k == 0) {
+        part.counters = std::move(task.counters);
+      } else {
+        part.counters.steps.assign(counters, StepCounters());
+      }
+      jobs.push_back(
+          [&base_ctx, &task, &part] { RunPart(base_ctx, task, &part); });
     }
   }
   ThreadPool* pool = base_ctx.pool;
@@ -143,10 +131,13 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
   for (size_t ti = 0; ti < tasks->size(); ++ti) {
     RoundTask& task = (*tasks)[ti];
     task.start_us = task.parts.front().start_us;
+    task.counters = std::move(task.parts.front().counters);
     for (size_t pi = 0; pi < task.parts.size(); ++pi) {
       const RoundPart& part = task.parts[pi];
-      for (size_t k = 0; k < part.counters.steps.size(); ++k) {
-        task.counters.steps[k] += part.counters.steps[k];
+      if (pi > 0) {
+        for (size_t k = 0; k < part.counters.steps.size(); ++k) {
+          task.counters.steps[k] += part.counters.steps[k];
+        }
       }
       task.self_ns += part.self_ns;
       if (!part.status.ok()) {

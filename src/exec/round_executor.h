@@ -1,6 +1,7 @@
 #ifndef IDLOG_EXEC_ROUND_EXECUTOR_H_
 #define IDLOG_EXEC_ROUND_EXECUTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -13,6 +14,14 @@
 
 namespace idlog {
 
+/// The fewest step-0 rows a task splits on. Below it a split costs more
+/// than it saves: on a 4-thread host, one-rule strata whose row is a
+/// copy and a negated probe (about the least work a row can carry) lost
+/// from splitting up to 384 rows, broke even near 512 and gained from
+/// 768 on, and eight-row splits slowed even rounds that run on the pool
+/// anyway.
+inline constexpr size_t kMinPartitionRows = 512;
+
 /// One contiguous row range of a round task's step-0 scan, evaluated on
 /// its own: a task that does not split has one part covering the whole
 /// binding. Its outputs are private, so parts run concurrently; in
@@ -22,14 +31,15 @@ struct RoundPart {
                                 ///< narrowed to this part's rows.
   Relation staged;              ///< The heads the part derived that the
                                 ///< task's head lacks, typed as it.
-  RuleStepStats counters;       ///< The part's own counters (steps+1).
+  RuleStepStats counters;       ///< The part's own counters (steps+1);
+                                ///< part 0's start from the bind
+                                ///< counters.
   ProvenanceStore prov;         ///< Derivations the part recorded
                                 ///< (uncharged); the caller absorbs
                                 ///< them in part order.
   uint64_t start_us = 0;        ///< Trace timestamp at part start.
   uint64_t self_ns = 0;         ///< Wall time inside the evaluation.
-  Status status;                ///< OK also for a part that was skipped
-                                ///< because an earlier part failed.
+  Status status;                ///< The part's evaluation status.
 };
 
 /// One `(rule, delta_step)` evaluation of a fixpoint round. The caller
@@ -75,12 +85,11 @@ struct RoundTask {
 /// thread, each into its private staging, counters and provenance
 /// store (when `base_ctx.provenance` is set), reading only what was
 /// bound; the shared governor is probed from every part, so deadlines
-/// and cancellation interrupt long scans. A failing or throwing part
-/// (exceptions become its Status) makes parts after it in (task, part)
-/// order skip their evaluation; parts before it always run to the end.
-/// Whatever follows the first failure is then dropped, and each
-/// remaining task folds its parts into its `counters`, `start_us`,
-/// `self_ns` and `status`. Whether a staged tuple is new, and what it
+/// and cancellation interrupt long scans. Every part runs to its end, a
+/// failing or throwing one included (exceptions become its Status).
+/// Whatever follows the first failure in (task, part) order is then
+/// dropped, and each remaining task folds its parts into its
+/// `counters`, `start_us`, `self_ns` and `status`. Whether a staged tuple is new, and what it
 /// costs, is the caller's commit to decide. The returned Status covers
 /// binding only, an exception thrown while binding (Internal) included.
 Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,

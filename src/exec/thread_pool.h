@@ -44,14 +44,12 @@ class ThreadPool {
   /// Claim-order invariant: tasks are *claimed* strictly in index
   /// order — every thread takes `tasks[next_task_++]` under the pool
   /// mutex, so no task is claimed before all lower-indexed tasks have
-  /// been claimed, and the unit test pins it. The round executor skips
-  /// a part only when a lower-indexed part failed, so claim order
-  /// decides how little a failed round wastes, not what it returns.
-  /// Claim order is NOT completion order: a claimed task may finish
-  /// after arbitrarily many higher-indexed ones, so callers needing
-  /// determinism must still merge results by task index afterwards,
-  /// and must not assume a lower-indexed task observed any shared
-  /// state earlier than a higher-indexed one.
+  /// been claimed, and the unit test pins it. Claim order is NOT
+  /// completion order: a claimed task may finish after arbitrarily many
+  /// higher-indexed ones, so callers needing determinism must still
+  /// merge results by task index afterwards, and must not assume a
+  /// lower-indexed task observed any shared state earlier than a
+  /// higher-indexed one.
   void Run(std::vector<std::function<void()>> tasks);
 
   /// Test-only seam: `obs` is invoked with each task's index at claim

@@ -16,6 +16,7 @@
 
 #include "common/failpoint.h"
 #include "core/idlog_engine.h"
+#include "exec/round_executor.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "test_util.h"
@@ -170,17 +171,23 @@ TEST_F(FlightRecorderTest, RunRecordsRoundsAndRunBoundaries) {
 
 // Right-linear closure differentiates plan step 1, not step 0, so its
 // tasks split on the step-0 edge scan: a pool commits split tasks, and
-// a serial run commits none.
+// a serial run commits none. The edges are the complete graph on the
+// fewest nodes whose edge count reaches kMinPartitionRows.
 TEST_F(FlightRecorderTest, RightLinearClosureSplitsOnlyWithAPool) {
+  size_t nodes = 2;
+  while (nodes * (nodes - 1) < kMinPartitionRows) ++nodes;
   for (int jobs : {1, 4}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     FlightRecorder& rec = FlightRecorder::Instance();
     rec.Arm(4096);
     IdlogEngine engine;
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                      "n" + std::to_string(i + 1)})
-                      .ok());
+    for (size_t i = 0; i < nodes; ++i) {
+      for (size_t j = 0; j < nodes; ++j) {
+        if (i == j) continue;
+        ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
+                                        "n" + std::to_string(j)})
+                        .ok());
+      }
     }
     engine.SetThreads(jobs);
     ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."

@@ -71,9 +71,7 @@ TEST(ThreadPool, EmptyBatchIsANoop) {
 // Pins the claim-order invariant Run() documents: every thread takes
 // the lowest unclaimed index under the pool mutex, so the observed
 // claim sequence is exactly 0, 1, 2, ... regardless of which thread
-// claims or how long tasks run. The round executor relies on it to
-// waste little work after a failure: parts after a failed one that
-// have not started skip their evaluation.
+// claims or how long tasks run.
 TEST(ThreadPool, ClaimsTasksStrictlyInIndexOrder) {
   ThreadPool pool(4);
   // The observer runs under the pool mutex, so appends are serialized
@@ -554,8 +552,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCorpus, ::testing::Range(0, 40));
 // --jobs sweep: every thread count must reproduce the --jobs 1 run byte
 // for byte — answers, logical stats, profiles, trace shape, EXPLAIN
 // ANALYZE JSON and WHY proofs. A task whose step 0 is an unindexed
-// scan splits into as many contiguous row ranges as there are threads,
-// so the sweep also crosses every split width these counts give.
+// scan of at least kMinPartitionRows rows splits into as many
+// contiguous row ranges as there are threads, so the closure sweeps,
+// whose scans are that large, also cross every split width these
+// counts give.
 
 constexpr int kSweepJobs[] = {2, 3, 4, 8};
 
@@ -571,16 +571,16 @@ void ExpectSweepMatchesBaseline(
   }
 }
 
-// A 14-node ring with a chord from every third node: branchy, so the
-// parts of a split task overlap in the heads they derive.
+// A ring whose every node also has chords 5, 17 and 40 ahead: just
+// over kMinPartitionRows edges, so a scan of them splits, and branchy,
+// so the parts of a split task overlap in the heads they derive.
 std::vector<std::vector<std::string>> BranchyRing() {
+  const int nodes = static_cast<int>(kMinPartitionRows / 4) + 1;
   std::vector<std::vector<std::string>> edb;
-  for (int i = 0; i < 14; ++i) {
-    edb.push_back({"edge", "n" + std::to_string(i),
-                   "n" + std::to_string((i + 1) % 14)});
-    if (i % 3 == 0) {
+  for (int i = 0; i < nodes; ++i) {
+    for (int step : {1, 5, 17, 40}) {
       edb.push_back({"edge", "n" + std::to_string(i),
-                     "n" + std::to_string((i + 5) % 14)});
+                     "n" + std::to_string((i + step) % nodes)});
     }
   }
   return edb;
@@ -624,16 +624,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JobsSweepCorpus, ::testing::Range(0, 40));
 // so the trip fires at the same logical point and the partial stats
 // match the serial trip exactly.
 TEST(JobsSweep, GovernorTripMidPartitionedRun) {
-  auto run_tripped = [](int jobs, Status* st, EvalStats* stats) {
+  const std::vector<std::vector<std::string>> edb = BranchyRing();
+  auto run_tripped = [&edb](int jobs, Status* st, EvalStats* stats) {
     IdlogEngine engine;
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(engine.AddRow("e", {"n" + std::to_string(i),
-                                      "n" + std::to_string(i + 1)})
-                      .ok());
+    for (const std::vector<std::string>& row : edb) {
+      ASSERT_TRUE(engine.AddRow("e", {row[1], row[2]}).ok());
     }
     engine.SetThreads(jobs);
     EvalLimits limits;
-    limits.max_tuples = 25;  // trips inside a later, partitioned round
+    // Round 0 commits every edge; the trip comes inside round 1, whose
+    // delta is those edges, split.
+    limits.max_tuples = edb.size() + 100;
     engine.SetLimits(limits);
     ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
                                        "p(X, Z) :- p(X, Y), e(Y, Z).")
@@ -701,11 +702,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ClosureAgainstBfs,
 
 // --------------------------------------------------------------------
 // Contiguous row ranges: with a pool, a task whose step 0 is an
-// unindexed scan splits, and part k of K reads the k-th row range of
-// that scan, delta or full relation alike. The parts' staged tuples,
-// concatenated in part order with repeats dropped, are then exactly
-// what one unsplit evaluation stages. That is why the commit can walk
-// a task's parts in index order with no merge.
+// unindexed scan of at least kMinPartitionRows rows splits, and part k
+// of K reads the k-th row range of that scan, delta or full relation
+// alike. The parts' staged tuples, concatenated in part order with
+// repeats dropped, are then exactly what one unsplit evaluation stages.
+// That is why the commit can walk a task's parts in index order with
+// no merge.
 
 // Runs one task through the round executor, on `pool` when given, and
 // returns each part's staged tuples, rendered.
@@ -733,9 +735,10 @@ std::vector<std::vector<std::string>> StagedByPart(
   return staged;
 }
 
-// One round's inputs: the closure plans below over a branchy random
-// graph, so distinct rows derive the same heads. The delta is round 0's
-// path: the edges themselves, i.e. all of path's rows from row 0 on.
+// One round's inputs: the closure plans below over a dense random
+// graph with more edges than a split needs, so distinct rows derive the
+// same heads. The delta is round 0's path: the edges themselves, i.e.
+// all of path's rows from row 0 on.
 class DeltaRanges : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -763,21 +766,21 @@ class DeltaRanges : public ::testing::Test {
     ASSERT_TRUE(fact().steps.empty());
 
     std::mt19937 rng(7);
-    for (int i = 0; i < 60; ++i) {
-      edge_.Insert({Value::Number(rng() % 20), Value::Number(rng() % 20)});
+    while (edge_.size() < kMinPartitionRows + kMinPartitionRows / 4) {
+      edge_.Insert({Value::Number(rng() % 40), Value::Number(rng() % 40)});
     }
     path_ = edge_;
     const size_t n = program->predicates.size();
     slots_.full.assign(n, nullptr);
     slots_.derived.assign(n, nullptr);
     slots_.delta.assign(n, DeltaSlot());
-    const size_t path_slot = static_cast<size_t>(left().head);
+    path_slot_ = static_cast<size_t>(left().head);
     const size_t edge_slot =
         static_cast<size_t>(program->FindPredicate("edge"));
-    slots_.full[path_slot] = &path_;
+    slots_.full[path_slot_] = &path_;
     slots_.full[edge_slot] = &edge_;
-    slots_.derived[path_slot] = &path_;
-    slots_.delta[path_slot].mark = 0;
+    slots_.derived[path_slot_] = &path_;
+    slots_.delta[path_slot_].mark = 0;
   }
 
   const RulePlan& left() const { return plans_[0]; }
@@ -791,6 +794,7 @@ class DeltaRanges : public ::testing::Test {
   Relation path_;
   Relation from3_{{Sort::kI}};
   RelationSlots slots_;
+  size_t path_slot_ = 0;
 };
 
 TEST_F(DeltaRanges, PartsConcatenateToTheSerialStaging) {
@@ -800,27 +804,37 @@ TEST_F(DeltaRanges, PartsConcatenateToTheSerialStaging) {
     const RulePlan* plan;
     int delta_step;
     const Relation* head;
+    size_t delta_rows;  ///< The delta's rows: path's last ones.
     size_t parts;
   };
+  const size_t all = path_.size();
   const Case cases[] = {
-      {"left-linear, delta at step 0", &left(), 0, &path_, 3},
-      {"right-linear, delta at step 1", &right(), 1, &path_, 3},
-      {"round 0, no delta", &left(), -1, &path_, 3},
-      {"keyed step 0", &keyed(), -1, &from3_, 1},
-      {"no steps", &fact(), -1, &path_, 1},
+      {"left-linear, delta at step 0", &left(), 0, &path_, all, 3},
+      {"right-linear, delta at step 1", &right(), 1, &path_, all, 3},
+      {"round 0, no delta", &left(), -1, &path_, all, 3},
+      {"delta a row short of a split", &left(), 0, &path_,
+       kMinPartitionRows - 1, 1},
+      {"keyed step 0", &keyed(), -1, &from3_, all, 1},
+      {"no steps", &fact(), -1, &path_, all, 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
+    RelationSlots slots = slots_;
+    slots.delta[path_slot_].mark = all - c.delta_rows;
     std::vector<std::vector<std::string>> serial =
-        StagedByPart(*c.plan, slots_, *c.head, c.delta_step, nullptr);
+        StagedByPart(*c.plan, slots, *c.head, c.delta_step, nullptr);
     ASSERT_EQ(serial.size(), 1u);
     std::vector<std::vector<std::string>> parts =
-        StagedByPart(*c.plan, slots_, *c.head, c.delta_step, &pool);
+        StagedByPart(*c.plan, slots, *c.head, c.delta_step, &pool);
     ASSERT_EQ(parts.size(), c.parts);
     std::vector<std::string> concatenated;
     std::set<std::string> seen;
     size_t staged_total = 0;
     for (const std::vector<std::string>& part : parts) {
+      // Every row range of these splits derives something.
+      if (c.parts > 1) {
+        EXPECT_FALSE(part.empty());
+      }
       staged_total += part.size();
       for (const std::string& t : part) {
         if (seen.insert(t).second) concatenated.push_back(t);
@@ -830,7 +844,9 @@ TEST_F(DeltaRanges, PartsConcatenateToTheSerialStaging) {
     EXPECT_EQ(concatenated, serial.front());
     // Some heads of the left-linear split were staged by two parts;
     // dropping those repeats leaves the serial sequence.
-    if (c.plan == &left()) EXPECT_GT(staged_total, serial.front().size());
+    if (c.plan == &left() && c.parts > 1) {
+      EXPECT_GT(staged_total, serial.front().size());
+    }
   }
 }
 
@@ -857,7 +873,9 @@ TEST_F(DeltaRanges, AFailureCutsTheRoundWhereASerialLoopStops) {
     Failpoints::Instance().Reset();
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_FALSE(tasks.empty());
-    if (p == nullptr) EXPECT_EQ(tasks.size(), 2u);
+    if (p == nullptr) {
+      EXPECT_EQ(tasks.size(), 2u);
+    }
     for (size_t ti = 0; ti + 1 < tasks.size(); ++ti) {
       EXPECT_TRUE(tasks[ti].status.ok()) << ti;
       EXPECT_EQ(tasks[ti].parts.size(), p == nullptr ? 1u : 3u) << ti;
