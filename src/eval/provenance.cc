@@ -85,13 +85,15 @@ const Derivation* ProvenanceStore::Lookup(PredId pred,
   return it == index_.end() ? nullptr : &nodes_[it->second].deriv;
 }
 
-size_t ProvenanceStore::Absorb(ProvenanceStore* other) {
+size_t ProvenanceStore::Absorb(
+    ProvenanceStore* other, const std::function<bool(const Tuple&)>& keep) {
   // Return the exact bytes_ delta (not the sum of Record returns) so
   // predicates interned here for the first time are charged as well.
   const size_t before = bytes_;
   // Memoized remap of the other store's predicate ids into ours.
   std::vector<PredId> remap(other->pred_names_.size(), kNoPred);
   for (Node& n : other->nodes_) {
+    if (keep != nullptr && !keep(n.tuple)) continue;
     PredId& mapped = remap[n.pred];
     if (mapped == kNoPred) {
       mapped = InternPredicate(other->pred_names_[n.pred]);

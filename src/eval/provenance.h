@@ -2,6 +2,7 @@
 #define IDLOG_EVAL_PROVENANCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -107,8 +108,10 @@ class ProvenanceStore {
   /// Absorbing per-task stores in serial task order therefore yields
   /// the exact store a serial run would have produced. Returns the
   /// exact growth of approx_bytes() (interning included); leaves
-  /// `other` cleared.
-  size_t Absorb(ProvenanceStore* other);
+  /// `other` cleared. With `keep`, only the derivations of tuples it
+  /// accepts are adopted.
+  size_t Absorb(ProvenanceStore* other,
+                const std::function<bool(const Tuple&)>& keep = nullptr);
 
   size_t size() const { return nodes_.size(); }
   /// Total premises across all recorded derivations.

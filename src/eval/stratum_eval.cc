@@ -1,7 +1,9 @@
 #include "eval/stratum_eval.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -126,19 +128,23 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       // round (the executor checks the frozen head), and dedup within a
       // part came free from its staged relation; cross-part and
       // cross-task duplicates fall out of the one Insert against full.
+      // The commit stops at the insert whose charge trips the governor,
+      // so a tripped model holds at most one fact past the budget.
       uint64_t inserted = 0;
       Status commit_status = Status::OK();
+      Relation& full = *slots.derived[static_cast<size_t>(task.plan->head)];
       if (!failed) {
-        Relation& full = *slots.derived[static_cast<size_t>(task.plan->head)];
         for (RoundPart& part : task.parts) {
           for (Tuple& t : part.staged.TakeRows()) {
             if (!full.Insert(std::move(t))) continue;
             ++inserted;
-            if (ctx.governor != nullptr && commit_status.ok()) {
+            if (ctx.governor != nullptr) {
               commit_status = ctx.governor->OnDerived(
                   1, ApproxTupleBytes(task.plan->head_args.size()));
+              if (!commit_status.ok()) break;
             }
           }
+          if (!commit_status.ok()) break;
         }
         if (task.parts.size() > 1) {
           // One breadcrumb per split commit: which head, how many
@@ -167,10 +173,16 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       // the combined store identical to what a serial loop records. The
       // retained bytes were deferred by the parts and are charged here,
       // like the committed-insert charges above.
+      // After a tripped commit, derivations of the rows it did not store
+      // are dropped, so WHY answers for them as for any absent fact.
       if (ctx.provenance != nullptr) {
+        std::function<bool(const Tuple&)> stored;
+        if (!commit_status.ok()) {
+          stored = [&full](const Tuple& t) { return full.Contains(t); };
+        }
         size_t prov_bytes = 0;
         for (RoundPart& part : task.parts) {
-          prov_bytes += ctx.provenance->Absorb(&part.prov);
+          prov_bytes += ctx.provenance->Absorb(&part.prov, stored);
         }
         if (ctx.governor != nullptr && prov_bytes > 0 &&
             commit_status.ok()) {
@@ -227,8 +239,11 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // differentiate each positive scan over one of this stratum's
   // predicates or a marked one; naive mode re-runs the recursive rules
   // in full instead (rules with no intra-stratum dependency are
-  // complete after round 0).
-  auto round_tasks = [&]() {
+  // complete after round 0). A differentiated scan whose delta is empty
+  // as the round starts (its mark unset, or at its relation's end)
+  // would derive nothing, so it gets no task; `*any` says whether the
+  // round had any rule to run, skipped or not.
+  auto round_tasks = [&](bool* any) {
     std::vector<RoundTask> tasks;
     for (const RulePlan* plan : plans) {
       if (round0 || !seminaive) {
@@ -241,6 +256,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                                     reads_stratum)) {
           continue;
         }
+        *any = true;
         RoundTask task;
         task.plan = plan;
         task.delta_step = -1;
@@ -248,9 +264,17 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         continue;
       }
       for (int step : plan->positive_scan_steps) {
-        const std::string& pred =
-            plan->steps[static_cast<size_t>(step)].predicate;
-        if (stratum_preds.count(pred) == 0 && marks.count(pred) == 0) {
+        const PlanStep& scan = plan->steps[static_cast<size_t>(step)];
+        if (stratum_preds.count(scan.predicate) == 0 &&
+            marks.count(scan.predicate) == 0) {
+          continue;
+        }
+        *any = true;
+        const size_t rel = static_cast<size_t>(scan.rel);
+        const std::optional<size_t>& mark = slots.delta[rel].mark;
+        const Relation* full = slots.full[rel];
+        if (!mark.has_value() ||
+            *mark == (full != nullptr ? full->size() : 0)) {
           continue;
         }
         RoundTask task;
@@ -269,9 +293,11 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
     TraceSpan round_span(ctx.trace, "fixpoint round", "fixpoint");
     round_span.AddArg(TraceArg::Int("stratum", ctx.stratum));
     round_span.AddArg(TraceArg::Num("round", round));
-    std::vector<RoundTask> tasks = round_tasks();
-    // No rule left to run: the stratum is complete.
-    if (tasks.empty()) return Status::OK();
+    bool any = false;
+    std::vector<RoundTask> tasks = round_tasks(&any);
+    // No rule left to run: the stratum is complete. A round whose tasks
+    // were all skipped for empty deltas still runs, and counts.
+    if (!any) return Status::OK();
     const char* kind = round0 ? "round0" : "delta";
     DeltaMarks next;
     for (const auto& [pred, rel] : own) next.emplace(pred, rel->size());

@@ -8,112 +8,91 @@
 
 namespace idlog {
 
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool quoted = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        current += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else if (c == '\r') {
-      // Tolerate CRLF endings.
-    } else {
-      current += c;
-    }
-  }
-  fields.push_back(std::move(current));
-  return fields;
-}
-
-Result<std::vector<std::string>> ParseCsvRecord(const std::string& line) {
+Status CsvRecordReader::Parse(std::string_view line) {
   // std::getline already consumed the '\n'; strip the '\r' of a CRLF
   // ending here so quoted-field handling below never sees it.
-  size_t end = line.size();
-  if (end > 0 && line[end - 1] == '\r') --end;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  fields_.clear();
+  unescaped_.clear();
+  // Unescaped text is never longer than the line, so the buffer never
+  // reallocates under the views already taken into it.
+  unescaped_.reserve(line.size());
 
-  std::vector<std::string> fields;
-  std::string current;
-  // Where we are inside the current field: before any content, inside
-  // an open quote, or after a closing quote (only ',' may follow).
-  enum class Pos { kStart, kUnquoted, kQuoted, kAfterQuote };
-  Pos pos = Pos::kStart;
-  for (size_t i = 0; i < end; ++i) {
-    char c = line[i];
-    switch (pos) {
-      case Pos::kQuoted:
-        if (c == '"') {
-          if (i + 1 < end && line[i + 1] == '"') {
-            current += '"';
-            ++i;
-          } else {
-            pos = Pos::kAfterQuote;
-          }
-        } else {
-          current += c;
-        }
-        break;
-      case Pos::kAfterQuote:
-        if (c != ',') {
-          return Status::ParseError(
-              "unexpected character after closing quote in CSV field " +
-              std::to_string(fields.size() + 1));
-        }
-        fields.push_back(std::move(current));
-        current.clear();
-        pos = Pos::kStart;
-        break;
-      case Pos::kStart:
-        if (c == '"') {
-          pos = Pos::kQuoted;
-          break;
-        }
-        [[fallthrough]];
-      case Pos::kUnquoted:
-        if (c == ',') {
-          fields.push_back(std::move(current));
-          current.clear();
-          pos = Pos::kStart;
-        } else if (c == '"') {
-          return Status::ParseError(
-              "quote opens mid-field in CSV field " +
-              std::to_string(fields.size() + 1) +
-              " (quoted fields must start with '\"')");
-        } else if (c == '\r') {
-          return Status::ParseError("stray carriage return in CSV field " +
-                                    std::to_string(fields.size() + 1));
-        } else {
-          current += c;
-          pos = Pos::kUnquoted;
-        }
-        break;
+  // A field past kMaxCsvFieldBytes fails on its size, also when it
+  // holds a later error: a scanner that checks the size as the field
+  // grows stops there first.
+  auto fail = [&](size_t field_bytes, const char* what,
+                  const char* suffix = "") {
+    const std::string field_no = std::to_string(fields_.size() + 1);
+    if (field_bytes > kMaxCsvFieldBytes) {
+      return Status::ParseError("CSV field " + field_no + " exceeds " +
+                                std::to_string(kMaxCsvFieldBytes) +
+                                " bytes");
     }
-    if (current.size() > kMaxCsvFieldBytes) {
-      return Status::ParseError(
-          "CSV field " + std::to_string(fields.size() + 1) + " exceeds " +
-          std::to_string(kMaxCsvFieldBytes) + " bytes");
+    return Status::ParseError(what + field_no + suffix);
+  };
+  const size_t end = line.size();
+  size_t i = 0;
+  for (;;) {
+    std::string_view field;
+    if (i < end && line[i] == '"') {
+      // Quoted: the field runs to the closing quote, and "" stands for
+      // one quote, which moves the field into the scratch buffer.
+      const size_t start = ++i;
+      const size_t copied = unescaped_.size();
+      bool escaped = false;
+      for (;;) {
+        const size_t q = line.find('"', i);
+        if (q == std::string_view::npos) {
+          const size_t bytes =
+              escaped ? unescaped_.size() - copied + (end - i) : end - start;
+          return fail(bytes, "unterminated quoted CSV field ");
+        }
+        if (q + 1 < end && line[q + 1] == '"') {
+          unescaped_.append(line.substr(i, q + 1 - i));
+          escaped = true;
+          i = q + 2;
+          continue;
+        }
+        if (escaped) {
+          unescaped_.append(line.substr(i, q - i));
+          field = std::string_view(unescaped_).substr(copied);
+        } else {
+          field = line.substr(start, q - start);
+        }
+        i = q + 1;
+        break;
+      }
+      if (i < end && line[i] != ',') {
+        return fail(field.size(),
+                    "unexpected character after closing quote in CSV "
+                    "field ");
+      }
+    } else {
+      const size_t start = i;
+      for (; i < end && line[i] != ','; ++i) {
+        if (line[i] == '"') {
+          return fail(i - start, "quote opens mid-field in CSV field ",
+                      " (quoted fields must start with '\"')");
+        }
+        if (line[i] == '\r') {
+          return fail(i - start, "stray carriage return in CSV field ");
+        }
+      }
+      field = line.substr(start, i - start);
     }
+    if (field.size() > kMaxCsvFieldBytes) return fail(field.size(), "");
+    fields_.push_back(field);
+    if (i == end) return Status::OK();
+    ++i;  // The comma; a trailing one leaves an empty last field.
   }
-  if (pos == Pos::kQuoted) {
-    return Status::ParseError("unterminated quoted CSV field " +
-                              std::to_string(fields.size() + 1));
-  }
-  fields.push_back(std::move(current));
-  return fields;
+}
+
+Result<std::vector<std::string>> ParseCsvRecord(std::string_view line) {
+  CsvRecordReader reader;
+  IDLOG_RETURN_NOT_OK(reader.Parse(line));
+  return std::vector<std::string>(reader.fields().begin(),
+                                  reader.fields().end());
 }
 
 namespace {
@@ -122,12 +101,17 @@ Status LoadFromStream(Database* database, const std::string& name,
                       std::istream& in, bool skip_header,
                       const std::string& what, ResourceGovernor* governor) {
   if (governor != nullptr) governor->set_scope("csv loader");
-  // Arity is fixed by the existing relation, or else by the first row.
-  size_t expected_arity = 0;
-  if (Result<const Relation*> existing = database->Get(name); existing.ok()) {
-    expected_arity = (*existing)->type().size();
+  // The target relation, resolved once: an existing one fixes the
+  // arity, or else the first row does and the first stored row creates
+  // the relation from its sorts.
+  Relation* rel = nullptr;
+  if (Result<Relation*> existing = database->GetMutable(name);
+      existing.ok()) {
+    rel = *existing;
   }
+  size_t expected_arity = rel != nullptr ? rel->type().size() : 0;
 
+  CsvRecordReader reader;
   std::string line;
   int line_no = 0;
   auto at_line = [&](const Status& st) {
@@ -139,21 +123,32 @@ Status LoadFromStream(Database* database, const std::string& name,
     IDLOG_FAILPOINT("csv.load.row");
     if (skip_header && line_no == 1) continue;
     if (line.empty() || line == "\r") continue;
-    Result<std::vector<std::string>> fields = ParseCsvRecord(line);
-    if (!fields.ok()) return at_line(fields.status());
+    if (Status st = reader.Parse(line); !st.ok()) return at_line(st);
+    const std::vector<std::string_view>& fields = reader.fields();
     if (expected_arity == 0) {
-      expected_arity = fields->size();
-    } else if (fields->size() != expected_arity) {
+      expected_arity = fields.size();
+    } else if (fields.size() != expected_arity) {
       return at_line(Status::ParseError(
-          "row has " + std::to_string(fields->size()) +
+          "row has " + std::to_string(fields.size()) +
           " fields, expected " + std::to_string(expected_arity)));
     }
     if (governor != nullptr) {
-      Status st =
-          governor->OnDerived(1, ApproxTupleBytes(fields->size()));
+      Status st = governor->OnDerived(1, ApproxTupleBytes(fields.size()));
       if (!st.ok()) return st;
     }
-    Status st = database->AddRow(name, *fields);
+    Tuple t;
+    t.reserve(fields.size());
+    for (std::string_view field : fields) {
+      Result<Value> v = ParseFieldValue(field, database->symbols());
+      if (!v.ok()) return at_line(v.status());
+      t.push_back(*v);
+    }
+    if (rel == nullptr) {
+      Result<Relation*> created = database->Resolve(name, t);
+      if (!created.ok()) return at_line(created.status());
+      rel = *created;
+    }
+    Status st = database->Insert(rel, std::move(t));
     if (!st.ok()) return at_line(st);
   }
   return Status::OK();

@@ -2,8 +2,8 @@
 #define IDLOG_STORAGE_DATABASE_H_
 
 #include <map>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -19,7 +19,8 @@ namespace idlog {
 /// The u-domain is maintained as the set of all sort-u constants in any
 /// stored tuple plus any constants registered explicitly (the paper's
 /// database is a pair (u-domain=D; r1..rn) where D may exceed the active
-/// domain).
+/// domain). It is a bitset over the dense symbol ids, read in ascending
+/// id order.
 ///
 /// Evaluation builds column indexes inside the stored relations (see
 /// Relation::IndexOn), through a const Database too, and they outlive
@@ -47,11 +48,22 @@ class Database {
   Result<Relation*> GetMutable(const std::string& name);
 
   /// Adds a tuple, creating the relation from the tuple's sorts if it
-  /// does not exist yet. Sort-u constants are added to the u-domain.
+  /// does not exist yet. Once the tuple is stored, its sort-u constants
+  /// join the u-domain.
   Status AddTuple(const std::string& name, Tuple t);
 
+  /// The relation `name`, created from the sorts of `first` (a tuple
+  /// about to be added) if it does not exist yet. A bulk loader
+  /// resolves its relation once and then calls Insert per tuple.
+  Result<Relation*> Resolve(const std::string& name, const Tuple& first);
+
+  /// Inserts `t` into `rel`, one of this database's relations, checking
+  /// arity and sorts against its type. Once the tuple is stored, its
+  /// sort-u constants join the u-domain; a refused tuple adds nothing.
+  Status Insert(Relation* rel, Tuple t);
+
   /// Convenience: interns `fields` that look like numbers as sort-i and
-  /// the rest as sort-u symbols.
+  /// the rest as sort-u symbols (see ParseFieldValue).
   Status AddRow(const std::string& name, const std::vector<std::string>& fields);
 
   /// Removes one tuple from an existing relation; true if it was
@@ -61,10 +73,10 @@ class Database {
   Result<bool> EraseTuple(const std::string& name, const Tuple& t);
 
   /// Registers an extra u-domain constant not present in any tuple.
-  void AddDomainConstant(SymbolId id) { u_domain_.insert(id); }
+  void AddDomainConstant(SymbolId id) { u_domain_.Insert(id); }
 
-  /// The u-domain as a sorted set of symbol ids.
-  const std::set<SymbolId>& u_domain() const { return u_domain_; }
+  /// The u-domain; iterates its symbol ids in ascending order.
+  const SymbolSet& u_domain() const { return u_domain_; }
 
   /// Frees every index built in the stored relations. IdlogEngine
   /// calls it when it loads a program, which probes other columns.
@@ -79,8 +91,14 @@ class Database {
   SymbolTable* symbols_;
   std::map<std::string, Relation> relations_;
   std::vector<std::string> names_;
-  std::set<SymbolId> u_domain_;
+  SymbolSet u_domain_;
 };
+
+/// Reads one text field as a value, the rule CSV loads and AddRow share:
+/// a non-empty all-digit field is a sort-i number (ParseError past the
+/// int64 range: more than 19 significant digits, or 19 above
+/// 9223372036854775807), anything else an interned sort-u symbol.
+Result<Value> ParseFieldValue(std::string_view field, SymbolTable* symbols);
 
 }  // namespace idlog
 

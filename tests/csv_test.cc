@@ -11,24 +11,12 @@ namespace {
 
 using testing_util::T;
 
-TEST(Csv, SplitPlainFields) {
-  EXPECT_EQ(SplitCsvLine("a,b,c"),
+TEST(Csv, StrictParsePlainSingleAndEmptyFields) {
+  EXPECT_EQ(*ParseCsvRecord("a,b,c"),
             (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(SplitCsvLine("one"), std::vector<std::string>{"one"});
-  EXPECT_EQ(SplitCsvLine("a,,c"),
+  EXPECT_EQ(*ParseCsvRecord("one"), std::vector<std::string>{"one"});
+  EXPECT_EQ(*ParseCsvRecord("a,,c"),
             (std::vector<std::string>{"a", "", "c"}));
-}
-
-TEST(Csv, SplitQuotedFields) {
-  EXPECT_EQ(SplitCsvLine("\"a,b\",c"),
-            (std::vector<std::string>{"a,b", "c"}));
-  EXPECT_EQ(SplitCsvLine("\"say \"\"hi\"\"\",x"),
-            (std::vector<std::string>{"say \"hi\"", "x"}));
-}
-
-TEST(Csv, SplitToleratesCrlf) {
-  EXPECT_EQ(SplitCsvLine("a,b\r"),
-            (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Csv, LoadFromString) {
@@ -188,6 +176,57 @@ TEST(Csv, SaveAndReload) {
   EXPECT_EQ((*db2.Get("emp"))->size(), 2u);
   EXPECT_TRUE((*db2.Get("emp"))->Contains(T(&s2, {"x,y", "dev", "5"})));
   std::remove(path.c_str());
+}
+
+// The reader's views point into the line and its scratch buffer, which
+// the next record reuses: every field must be interned (copied) before
+// the following line overwrites them. 10,000 quoted spellings longer
+// than a std::string's inline buffer, some holding doubled quotes and
+// commas, each line overwriting the last.
+TEST(Csv, FieldsSurviveTheLineBufferBeingOverwritten) {
+  auto name = [](int i) {
+    std::string n = "employee-number-" + std::to_string(i);
+    if (i % 3 == 0) n += ", \"senior\"";
+    return n;
+  };
+  std::string content;
+  for (int i = 0; i < 10000; ++i) {
+    std::string quoted = "\"";
+    for (char c : name(i)) {
+      if (c == '"') quoted += '"';
+      quoted += c;
+    }
+    quoted += '"';
+    content += quoted + ",dept-" + std::to_string(i % 7) + "," +
+               std::to_string(i) + "\r\n";
+  }
+  SymbolTable s;
+  Database db(&s);
+  Status st = LoadCsvRelationFromString(&db, "emp", content);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const Relation* rel = *db.Get("emp");
+  ASSERT_EQ(rel->size(), 10000u);
+  for (int i = 0; i < 10000; ++i) {
+    const Tuple& t = rel->tuples()[static_cast<size_t>(i)];
+    ASSERT_EQ(s.NameOf(t[0].symbol()), name(i)) << "row " << i;
+    ASSERT_EQ(s.NameOf(t[1].symbol()), "dept-" + std::to_string(i % 7));
+    ASSERT_EQ(t[2].number(), i);
+  }
+  EXPECT_EQ(s.size(), 10000u + 7u);
+}
+
+// The u-domain holds the constants of stored tuples: a row refused for
+// its sorts adds none of its symbols, though the rows before it stay.
+TEST(Csv, RefusedRowAddsNothingToTheUDomain) {
+  SymbolTable s;
+  Database db(&s);
+  Status st = LoadCsvRelationFromString(&db, "r", "a,1\nb,c\n");
+  EXPECT_EQ(st.code(), StatusCode::kTypeError);
+  EXPECT_NE(st.message().find("line 2"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ((*db.Get("r"))->size(), 1u);
+  EXPECT_EQ(std::vector<SymbolId>(db.u_domain().begin(), db.u_domain().end()),
+            std::vector<SymbolId>{s.Lookup("a")});
 }
 
 }  // namespace

@@ -657,6 +657,56 @@ TEST(JobsSweep, GovernorTripMidPartitionedRun) {
   }
 }
 
+// The commit stops at the insert whose charge trips the tuple budget,
+// so a partial model holds at most one derived fact past it (before, a
+// tripped commit stored the rest of its task: 1,806 facts here at every
+// --jobs). The provenance store keeps derivations only of stored facts,
+// and WHY on a derived but unstored fact answers as for an absent one.
+TEST(JobsSweep, TrippedCommitStopsAtTheBudget) {
+  const std::vector<std::vector<std::string>> edb = BranchyRing();
+  const size_t budget = edb.size() + 100;
+  std::string serial;
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    IdlogEngine engine;
+    for (const std::vector<std::string>& row : edb) {
+      ASSERT_TRUE(engine.AddRow("e", {row[1], row[2]}).ok());
+    }
+    engine.SetThreads(jobs);
+    EvalLimits limits;
+    limits.max_tuples = budget;
+    engine.SetLimits(limits);
+    engine.SetPartialResults(true);
+    engine.EnableProvenance(true);
+    ASSERT_TRUE(engine.LoadProgramText("p(X, Y) :- e(X, Y)."
+                                       "p(X, Z) :- p(X, Y), e(Y, Z).")
+                    .ok());
+    ASSERT_TRUE(engine.Run().ok());
+    EXPECT_EQ(engine.last_trip().code(), StatusCode::kResourceExhausted);
+    const Relation* p = *engine.Query("p");
+    EXPECT_GT(p->size(), edb.size());
+    EXPECT_LE(p->size(), budget + 1);
+    EXPECT_EQ(engine.DbStats().provenance_nodes, p->size());
+
+    // Every pair of ring nodes is in the closure; find one not stored.
+    Tuple unstored;
+    for (size_t i = 0; i < edb.size() && unstored.empty(); i += 4) {
+      Tuple t = testing_util::T(&engine.symbols(), {edb[0][1], edb[i][1]});
+      if (!p->Contains(t)) unstored = t;
+    }
+    ASSERT_FALSE(unstored.empty());
+    Result<std::string> why = engine.Why("p", unstored);
+    EXPECT_EQ(why.status().code(), StatusCode::kNotFound);
+
+    const std::string dump = Dump(*p, engine.symbols());
+    if (jobs == 1) {
+      serial = dump;
+    } else {
+      EXPECT_EQ(dump, serial);
+    }
+  }
+}
+
 // --------------------------------------------------------------------
 // Answers against a reference computed without the engine. The tests
 // above compare the engine with itself (serial against parallel), which

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "storage/database.h"
 #include "storage/relation.h"
+#include "store/snapshot.h"
 #include "test_util.h"
 
 namespace idlog {
@@ -520,6 +523,80 @@ TEST(Database, UDomainTracksSymbols) {
   EXPECT_EQ(db.u_domain().size(), 2u);  // a and b; 7 is sort i
   db.AddDomainConstant(s.Intern("lonely"));
   EXPECT_EQ(db.u_domain().size(), 3u);
+}
+
+std::vector<SymbolId> DomainOf(const Database& db) {
+  return std::vector<SymbolId>(db.u_domain().begin(), db.u_domain().end());
+}
+
+// The u-domain iterates in ascending id order whatever order its
+// constants arrived in, and registers ids past the bitset's current end.
+TEST(Database, UDomainIsAscendingAndTakesIdsPastItsEnd) {
+  SymbolTable s;
+  Database db(&s);
+  for (int i = 0; i < 200; ++i) s.Intern("pad" + std::to_string(i));
+  ASSERT_TRUE(db.AddRow("r", {"z", "1"}).ok());  // id 200
+  ASSERT_TRUE(db.AddRow("r", {"pad7", "2"}).ok());
+  ASSERT_TRUE(db.AddRow("q", {"pad130"}).ok());
+  EXPECT_EQ(DomainOf(db), (std::vector<SymbolId>{7, 130, 200}));
+  db.AddDomainConstant(s.Intern("lonely"));   // id 201
+  db.AddDomainConstant(70000);                // far past the bitset
+  db.AddDomainConstant(s.Lookup("pad0"));
+  db.AddDomainConstant(s.Lookup("pad7"));     // already present
+  EXPECT_EQ(DomainOf(db), (std::vector<SymbolId>{0, 7, 130, 200, 201,
+                                                 70000}));
+  EXPECT_EQ(db.u_domain().size(), 6u);
+}
+
+// A refused tuple adds none of its constants, a duplicate changes
+// nothing, and an erase never narrows the domain.
+TEST(Database, UDomainHoldsOnlyStoredConstants) {
+  SymbolTable s;
+  Database db(&s);
+  ASSERT_TRUE(db.AddRow("r", {"a", "1"}).ok());
+  EXPECT_EQ(db.AddRow("r", {"b", "c"}).code(), StatusCode::kTypeError);
+  EXPECT_EQ(db.AddRow("r", {"d"}).code(), StatusCode::kTypeError);
+  EXPECT_EQ(DomainOf(db), std::vector<SymbolId>{s.Lookup("a")});
+  ASSERT_TRUE(db.AddRow("r", {"a", "1"}).ok());
+  ASSERT_TRUE(*db.EraseTuple("r", T(&s, {"a", "1"})));
+  EXPECT_EQ(DomainOf(db), std::vector<SymbolId>{s.Lookup("a")});
+}
+
+// The snapshot writes the u-domain in ascending id order, and a
+// database rebuilt from the decoded state serializes to the same bytes.
+TEST(Database, UDomainSurvivesASnapshotRoundTrip) {
+  SymbolTable s;
+  Database db(&s);
+  for (int i = 0; i < 150; ++i) s.Intern("pad" + std::to_string(i));
+  ASSERT_TRUE(db.AddRow("r", {"c", "1"}).ok());
+  ASSERT_TRUE(db.AddRow("r", {"pad99", "2"}).ok());
+  ASSERT_TRUE(db.AddRow("q", {"pad3"}).ok());
+  db.AddDomainConstant(s.Lookup("pad140"));
+  db.AddDomainConstant(s.Intern("lonely"));
+  const std::map<std::string, Relation> derived;
+  const std::map<std::pair<std::string, std::vector<int>>, Relation> ids;
+  SnapshotView view;
+  view.symbols = &s;
+  view.database = &db;
+  view.derived = &derived;
+  view.id_relations = &ids;
+  const std::string bytes = SerializeSnapshot(view);
+  Result<SnapshotData> snap = ParseSnapshot(bytes);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->u_domain, DomainOf(db));
+
+  Database back(&snap->symbols);
+  for (const SnapshotData::NamedRelation& nr : snap->edb) {
+    for (const Tuple& t : nr.relation.tuples()) {
+      ASSERT_TRUE(back.AddTuple(nr.name, t).ok());
+    }
+  }
+  for (SymbolId id : snap->u_domain) back.AddDomainConstant(id);
+  EXPECT_EQ(DomainOf(back), snap->u_domain);
+  SnapshotView again = view;
+  again.symbols = &snap->symbols;
+  again.database = &back;
+  EXPECT_EQ(SerializeSnapshot(again), bytes);
 }
 
 TEST(Database, GetMissingIsNotFound) {
