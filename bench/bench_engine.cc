@@ -140,7 +140,6 @@ ParallelRun RunWideStratum(int jobs, int fanout) {
 
   ParallelRun out;
   engine.SetThreads(jobs);
-  engine.EnableProfiling(true);
   Status st = engine.LoadProgramText(program);
   if (!st.ok()) return out;
   auto t0 = Clock::now();
@@ -230,7 +229,6 @@ EvalProfile ProfileTcProvenance(Shape shape, int nodes, int edges,
   FillGraph(&engine.database(), shape, nodes, edges, /*seed=*/13);
   engine.EnableProvenance(provenance);
   engine.SetThreads(jobs);
-  engine.EnableProfiling(true);
   if (!engine.LoadProgramText(kTc).ok()) return {};
   (void)engine.Query("path");
   return engine.profile();

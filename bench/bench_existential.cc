@@ -44,7 +44,6 @@ RunResult RunVariant(const std::string& program_text, int nodes, int edges,
                      uint64_t seed) {
   IdlogEngine engine;
   bench_util::MakeRandomGraph(&engine.database(), "p", nodes, edges, seed);
-  engine.EnableProfiling(true);
   Status st = engine.LoadProgramText(program_text);
   RunResult out;
   if (!st.ok()) {

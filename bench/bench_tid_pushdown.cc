@@ -29,7 +29,6 @@ RunResult Run(const std::string& program, int depts, int per_dept,
   IdlogEngine engine;
   bench_util::MakeEmpDatabase(&engine.database(), depts, per_dept);
   engine.SetTidBoundPushdown(pushdown);
-  engine.EnableProfiling(true);
   RunResult out;
   Status st = engine.LoadProgramText(program);
   if (!st.ok()) {

@@ -56,7 +56,6 @@ Status IdlogEngine::LoadProgram(Program program) {
   impl->set_use_indexes(use_indexes_);
   impl->set_threads(threads_);
   impl->set_trace_sink(trace_);
-  impl->set_profiling_enabled(profiling_);
   impl->set_rewrite_log(rewrite_log_);
   IDLOG_RETURN_NOT_OK(impl->Prepare());
   impl_ = std::move(impl);
@@ -133,7 +132,6 @@ SnapshotView IdlogEngine::CurrentView(
   view.delta = nullptr;
   view.stats = &impl_->stats();
   view.analysis = &impl_->plan_analysis();
-  view.profile = impl_->profiling_enabled() ? &impl_->profile() : nullptr;
   view.provenance = provenance_ ? &impl_->provenance() : nullptr;
   view.config = CurrentConfig();
   view.progress = progress;
@@ -872,15 +870,10 @@ void IdlogEngine::SetTraceSink(TraceSink* sink) {
   if (impl_ != nullptr) impl_->set_trace_sink(sink);
 }
 
-void IdlogEngine::EnableProfiling(bool enabled) {
-  if (profiling_ != enabled) ran_ = false;
-  profiling_ = enabled;
-  if (impl_ != nullptr) impl_->set_profiling_enabled(enabled);
-}
+void IdlogEngine::EnableProfiling(bool /*enabled*/) {}
 
-const EvalProfile& IdlogEngine::profile() const {
-  static const EvalProfile kEmpty;
-  return impl_ == nullptr ? kEmpty : impl_->profile();
+EvalProfile IdlogEngine::profile() const {
+  return impl_ == nullptr ? EvalProfile() : impl_->profile();
 }
 
 void IdlogEngine::EnableProvenance(bool enabled) {

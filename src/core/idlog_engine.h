@@ -188,13 +188,17 @@ class IdlogEngine {
   void SetTraceSink(TraceSink* sink);
   TraceSink* trace_sink() const { return trace_; }
 
-  /// Enables the per-rule/per-stratum profile collected by Run() (off
-  /// by default; costs a few clock reads per rule evaluation).
+  /// No-op, kept for source compatibility: the profile needs no switch
+  /// (see profile()).
   void EnableProfiling(bool enabled);
-  bool profiling_enabled() const { return profiling_; }
 
-  /// The profile of the last Run() (empty unless profiling enabled).
-  const EvalProfile& profile() const;
+  /// The per-rule/per-stratum profile of the last Run(), rendered on
+  /// each call from the evaluation's per-step counters (plan_analysis()),
+  /// its stats, the plans and the stratification. Always complete: a run
+  /// resumed from a checkpoint reports the whole run's counters, though
+  /// its self and wall times cover only the resuming process. Empty
+  /// before the first Run().
+  EvalProfile profile() const;
 
   /// Records derivations during evaluation so Why() works. Off by
   /// default (memory proportional to the number of derived facts).
@@ -266,9 +270,10 @@ class IdlogEngine {
   std::string DbStatsJson() const;
 
   /// The `idlog-metrics-v1` document of the last Run(): the profile's
-  /// counters plus governor/storage gauges (totals.memory_bytes,
-  /// db.relations, db.tuples, db.approx_bytes, db.indexes — the last is
-  /// physical). Superset of profile().ToMetricsJson().
+  /// counters, whose totals are stats(), plus governor/storage gauges
+  /// (totals.memory_bytes, db.relations, db.tuples, db.approx_bytes,
+  /// db.indexes — the last is physical). Superset of
+  /// profile().ToMetricsJson().
   std::string MetricsJson() const;
 
   // --- Durable update sessions (write-ahead fact log). -------------
@@ -410,7 +415,6 @@ class IdlogEngine {
   ResourceGovernor governor_;
   Status last_trip_;
   TraceSink* trace_ = nullptr;
-  bool profiling_ = false;
   bool partial_results_ = false;
   bool seminaive_ = true;
   bool tid_bound_pushdown_ = true;

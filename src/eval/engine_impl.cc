@@ -228,7 +228,6 @@ void EngineImpl::InstallResumeState(EvalResumeState state) {
   stats_ = state.stats;
   plan_analysis_ =
       state.has_analysis ? std::move(state.analysis) : PlanAnalysis();
-  profile_ = state.has_profile ? std::move(state.profile) : EvalProfile();
   // A snapshot cut from a provenance-enabled run carries the store;
   // adopting it keeps pre-checkpoint facts explainable after resume.
   if (state.has_provenance) {
@@ -255,7 +254,6 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     id_relations_.clear();
     stats_.Reset();
     provenance_.Clear();
-    profile_.Clear();
     plan_analysis_.Clear();
   }
 
@@ -266,27 +264,6 @@ Status EngineImpl::Evaluate(TidAssigner* assigner, bool seminaive) {
     plan_analysis_.rules.assign(plans_.size(), RuleStepStats());
     for (size_t i = 0; i < plans_.size(); ++i) {
       plan_analysis_.rules[i].steps.resize(plans_[i].steps.size() + 1);
-    }
-  }
-
-  if (profiling_) {
-    // Same resume contract as the analysis: a restored profile of the
-    // right shape keeps its counters, only the static columns are
-    // re-derived (they depend on the program text, not the run).
-    if (profile_.rules.size() != plans_.size()) {
-      profile_.rules.assign(plans_.size(), RuleProfile());
-    }
-    for (size_t i = 0; i < plans_.size(); ++i) {
-      RuleProfile& rp = profile_.rules[i];
-      rp.clause_index = plans_[i].clause_index;
-      rp.head_pred = plans_[i].head_pred;
-      rp.rule = ClauseToString(program_->clauses[i], *database_->symbols());
-    }
-    for (int s = 0; s < strat_.num_strata; ++s) {
-      for (int clause_idx :
-           strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
-        profile_.rules[static_cast<size_t>(clause_idx)].stratum = s;
-      }
     }
   }
 
@@ -408,10 +385,10 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
                              PendingResume* resume,
                              const StratumStart* seed) {
   const bool incremental = seed != nullptr;
-  // Stamps the wall time into the stats, the profile and the profile
-  // totals on every exit path — trips and errors included, so a partial
-  // run still reports how long it ran. A resumed or incremental pass
-  // adds to the wall time of the run it extends.
+  // Stamps the wall time into the stats on every exit path — trips and
+  // errors included, so a partial run still reports how long it ran. A
+  // resumed or incremental pass adds to the wall time of the run it
+  // extends.
   struct WallStamp {
     EngineImpl* engine;
     uint64_t base_ns;
@@ -430,10 +407,6 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
       engine->stats_.provenance_premises =
           engine->provenance_.num_premises();
       engine->stats_.provenance_bytes = engine->provenance_.approx_bytes();
-      if (engine->profiling_) {
-        engine->profile_.wall_ns = ns;
-        engine->profile_.totals = engine->stats_;
-      }
     }
   } wall_stamp{this, stats_.eval_wall_ns};
 
@@ -447,7 +420,6 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
   ctx.use_indexes = use_indexes_;
   ctx.governor = governor_;
   ctx.trace = trace_;
-  ctx.profile = profiling_ ? &profile_ : nullptr;
   ctx.analyze = &plan_analysis_;
   // Parallel stratum execution. Provenance-enabled runs parallelize
   // too: workers record into private per-task stores that the round
@@ -503,8 +475,8 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
     }
     // A stratum continued from a checkpoint frame was entered, and its
     // rounds up to the frame were counted, before the frame was cut;
-    // those rounds belong to this stratum's profile row and trace args
-    // even though this pass did not run them.
+    // those rounds belong to this stratum's trace args even though this
+    // pass did not run them.
     const bool continued = !incremental && start != nullptr;
     if (!continued) ++stats_.strata_evaluated;
     ctx.stratum = s;
@@ -539,26 +511,13 @@ Status EngineImpl::RunStrata(TidAssigner* assigner, bool seminaive,
       stratum_status = EvaluateStratum(
           stratum_plans, stratum_preds, ctx, slots, seminaive, start,
           incremental ? CheckpointHook() : checkpoint_hook_);
-    }
-    const uint64_t rounds = stats_.iterations - rounds_before;
-    if (profiling_) {
-      // One row per stratum index: created by the first pass that runs
-      // the stratum, extended by later ones.
-      auto row = std::find_if(
-          profile_.strata.begin(), profile_.strata.end(),
-          [s](const StratumProfile& sp) { return sp.index == s; });
-      if (row == profile_.strata.end()) {
-        profile_.strata.emplace_back();
-        row = profile_.strata.end() - 1;
-        row->index = s;
-        row->rules = stratum_plans.size();
-      }
-      row->rounds += rounds;
-      row->wall_ns += static_cast<uint64_t>(
+      // The log EvaluateStratum opened on entry; each pass adds its wall.
+      plan_analysis_.StratumLog(s).wall_ns += static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - stratum_t0)
               .count());
     }
+    const uint64_t rounds = stats_.iterations - rounds_before;
     stratum_span.AddArg(TraceArg::Num("rules", stratum_plans.size()));
     stratum_span.AddArg(TraceArg::Num("rounds", rounds));
     stratum_span.AddArg(
@@ -620,14 +579,7 @@ Result<std::string> EngineImpl::RenderExplain(bool analyze,
   RewriteLog merged = rewrite_log_;
   merged.Append(pushdown_notes_);
 
-  std::vector<int> stratum_of(plans_.size(), -1);
-  for (int s = 0; s < strat_.num_strata; ++s) {
-    for (int clause_idx :
-         strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
-      stratum_of[static_cast<size_t>(clause_idx)] = s;
-    }
-  }
-
+  const std::vector<int> stratum_of = ClauseStrata();
   ExplainDoc doc;
   doc.use_indexes = use_indexes_;
   doc.rewrites = &merged;
@@ -645,6 +597,65 @@ Result<std::string> EngineImpl::RenderExplain(bool analyze,
     doc.totals = &stats_;
   }
   return json ? RenderExplainJson(doc) : RenderExplainText(doc);
+}
+
+std::vector<int> EngineImpl::ClauseStrata() const {
+  std::vector<int> stratum_of(plans_.size(), -1);
+  for (int s = 0; s < strat_.num_strata; ++s) {
+    for (int clause_idx :
+         strat_.clauses_by_stratum[static_cast<size_t>(s)]) {
+      stratum_of[static_cast<size_t>(clause_idx)] = s;
+    }
+  }
+  return stratum_of;
+}
+
+EvalProfile EngineImpl::profile() const {
+  EvalProfile profile;
+  profile.totals = stats_;
+  profile.wall_ns = stats_.eval_wall_ns;
+  // Evaluate() sizes the analysis to the plans; before that there is
+  // nothing to attribute.
+  if (plan_analysis_.rules.size() != plans_.size()) return profile;
+  const std::vector<int> stratum_of = ClauseStrata();
+  profile.rules.reserve(plans_.size());
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    const RulePlan& plan = plans_[i];
+    const RuleStepStats& counters = plan_analysis_.rules[i];
+    RuleProfile& rp = profile.rules.emplace_back();
+    rp.clause_index = plan.clause_index;
+    rp.head_pred = plan.head_pred;
+    rp.rule = ClauseToString(program_->clauses[i], *database_->symbols());
+    rp.stratum = stratum_of[i];
+    rp.self_ns = counters.self_ns;
+    if (counters.steps.size() == plan.steps.size() + 1) {
+      const EvalStats t = TotalsOf(plan, counters);
+      rp.firings = t.rule_firings;
+      rp.tuples_considered = t.tuples_considered;
+      rp.facts_derived = t.facts_derived;
+      rp.facts_inserted = t.facts_inserted;
+    }
+  }
+  // One row per stratum the run reached, in the order it first ran them.
+  // A stratum without clauses runs no round and keeps no log; only
+  // stratum 0 can be one (every higher stratum holds the head its
+  // number was raised for), and a run that entered any stratum passed
+  // it.
+  if (strat_.num_strata > 0 && strat_.clauses_by_stratum[0].empty() &&
+      stats_.strata_evaluated > 0) {
+    profile.strata.push_back(StratumProfile{0, 0, 0, 0});
+  }
+  for (const StratumRoundStats& log : plan_analysis_.strata) {
+    StratumProfile& row = profile.strata.emplace_back();
+    row.index = log.stratum;
+    if (log.stratum >= 0 && log.stratum < strat_.num_strata) {
+      row.rules = strat_.clauses_by_stratum[static_cast<size_t>(log.stratum)]
+                      .size();
+    }
+    row.rounds = log.new_facts_per_round.size();
+    row.wall_ns = log.wall_ns;
+  }
+  return profile;
 }
 
 Result<std::string> EngineImpl::ExplainPlanText(bool analyze) const {

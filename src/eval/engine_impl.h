@@ -60,9 +60,9 @@ class EngineImpl {
   /// change (Insert appends only new tuples, so its rows from there on
   /// are exactly the new facts), and every stratum the change reaches
   /// continues the completed run (no round 0) with a first round that
-  /// differentiates on the change's growth. Stats, profile, EXPLAIN
-  /// ANALYZE counters and provenance accumulate on top of the previous
-  /// run's; nothing is cleared.
+  /// differentiates on the change's growth. Stats, EXPLAIN ANALYZE
+  /// counters (so the profile) and provenance accumulate on top of the
+  /// previous run's; nothing is cleared.
   ///
   /// Returns Unsupported — leaving all state untouched, so the caller
   /// can fall back to a full Evaluate() — when the change cannot be
@@ -100,7 +100,7 @@ class EngineImpl {
 
   /// Observes every fixpoint round boundary of Evaluate() (see
   /// CheckpointHook); the boundary that leaves a stratum comes once its
-  /// profile row and trace args are written. Null (default) disables.
+  /// wall time and trace args are written. Null (default) disables.
   void set_checkpoint_hook(CheckpointHook hook) {
     checkpoint_hook_ = std::move(hook);
   }
@@ -188,18 +188,18 @@ class EngineImpl {
   void set_threads(int n) { threads_ = n < 1 ? 1 : n; }
   int threads() const { return threads_; }
 
-  /// Enables the per-rule/per-stratum profile (off by default). The
-  /// attribution cost is a few clock reads per rule evaluation.
-  void set_profiling_enabled(bool enabled) { profiling_ = enabled; }
-  bool profiling_enabled() const { return profiling_; }
-
-  /// The profile of the last Evaluate() (empty unless enabled).
-  const EvalProfile& profile() const { return profile_; }
-
-  /// Per-step counters and round logs of the last Evaluate() and the
-  /// passes that extended it, whether it completed or not (always
-  /// collected: they are the executor's only counters).
+  /// Per-step counters, self times, round logs and stratum wall times
+  /// of the last Evaluate() and the passes that extended it, whether it
+  /// completed or not (always collected: they are the executor's only
+  /// counters).
   const PlanAnalysis& plan_analysis() const { return plan_analysis_; }
+
+  /// The per-rule/per-stratum profile of the same evaluation, rendered
+  /// from plan_analysis(), stats(), the plans and the stratification
+  /// (empty before the first Evaluate()). Rules and stratum rows read
+  /// the counters through TotalsOf, the fold EvalStats is added from,
+  /// so every column sums to its engine total.
+  EvalProfile profile() const;
 
   /// Installs rewrite provenance carried in from the opt/ pipeline;
   /// EXPLAIN renders these notes next to the clauses they touched. The
@@ -216,6 +216,9 @@ class EngineImpl {
 
  private:
   Result<std::string> RenderExplain(bool analyze, bool json) const;
+
+  /// The stratum of every clause, by clause index.
+  std::vector<int> ClauseStrata() const;
 
   const Relation* FullRelation(const std::string& pred) const;
 
@@ -276,8 +279,6 @@ class EngineImpl {
   EvalStats stats_;
   ResourceGovernor* governor_ = nullptr;
   TraceSink* trace_ = nullptr;
-  bool profiling_ = false;
-  EvalProfile profile_;
   PlanAnalysis plan_analysis_;
   RewriteLog rewrite_log_;    ///< From the opt/ pipeline (caller-set).
   RewriteLog pushdown_notes_; ///< The engine's own Prepare()-time notes.

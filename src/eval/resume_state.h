@@ -12,7 +12,6 @@
 #include "eval/eval_stats.h"
 #include "eval/provenance.h"
 #include "obs/explain.h"
-#include "obs/profile.h"
 #include "storage/relation.h"
 
 namespace idlog {
@@ -53,8 +52,6 @@ struct EvalResumeState {
   EvalStats stats;
   bool has_analysis = false;
   PlanAnalysis analysis;
-  bool has_profile = false;
-  EvalProfile profile;
   bool has_provenance = false;
   ProvenanceStore provenance;
   FixpointFrame frame;

@@ -12,7 +12,6 @@
 #include "eval/provenance.h"
 #include "eval/rule_plan.h"
 #include "obs/explain.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "storage/relation.h"
 
@@ -85,13 +84,11 @@ struct EvalContext {
 
   /// Driver-side observers (null by default; attribution is per rule
   /// evaluation, never per tuple). `trace` receives one complete span
-  /// per rule evaluation and per fixpoint round; `profile` accumulates
-  /// per-rule counters and self time, attributed by clause index;
-  /// `analyze` is the engine-owned PlanAnalysis (one RuleStepStats per
-  /// clause, sized steps+1) that the driver adds every task's folded
-  /// counters to, plus each stratum's round log.
+  /// per rule evaluation and per fixpoint round; `analyze` is the
+  /// engine-owned PlanAnalysis (one RuleStepStats per clause, sized
+  /// steps+1) that the driver adds every task's folded counters and
+  /// self time to, plus each stratum's round log.
   TraceSink* trace = nullptr;
-  EvalProfile* profile = nullptr;
   PlanAnalysis* analyze = nullptr;
   /// Stratum currently evaluating (labels trace events; -1 outside).
   int stratum = -1;

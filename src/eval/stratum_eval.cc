@@ -12,30 +12,6 @@
 
 namespace idlog {
 
-namespace {
-
-/// The engine totals of one task's folded counters: what EvalStats, the
-/// rule's profile row and its trace span report.
-EvalStats TotalsOf(const RulePlan& plan, const RuleStepStats& counters) {
-  EvalStats t;
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const StepCounters& c = counters.steps[i];
-    // Built-ins enumerate solutions, not stored tuples.
-    if (plan.steps[i].kind != PlanStep::Kind::kBuiltin) {
-      t.tuples_considered += c.rows_scanned;
-    }
-    t.index_probes += c.index_probes;
-    t.index_builds += c.index_misses;
-  }
-  t.index_cache_misses = t.index_builds;
-  t.rule_firings = counters.steps.front().rows_in;
-  t.facts_derived = counters.steps.back().rows_in;
-  t.facts_inserted = counters.steps.back().rows_emitted;
-  return t;
-}
-
-}  // namespace
-
 Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                        const std::set<std::string>& stratum_preds,
                        const EvalContext& ctx, RelationSlots slots,
@@ -75,24 +51,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
                 slots.derived[static_cast<size_t>(plan->head)]);
   }
 
-  // This stratum's per-round delta sizes, for EXPLAIN ANALYZE. The
-  // series is a logical quantity (fixpoint contents are deterministic),
-  // so it is identical across --jobs settings. A resumed or incremental
-  // pass extends the stratum's existing log.
-  StratumRoundStats* round_log = nullptr;
-  if (ctx.analyze != nullptr) {
-    std::vector<StratumRoundStats>& logs = ctx.analyze->strata;
-    auto it = std::find_if(logs.begin(), logs.end(),
-                           [&ctx](const StratumRoundStats& log) {
-                             return log.stratum == ctx.stratum;
-                           });
-    if (it == logs.end()) {
-      logs.emplace_back();
-      logs.back().stratum = ctx.stratum;
-      it = logs.end() - 1;
-    }
-    round_log = &*it;
-  }
+  // This stratum's per-round delta sizes, for EXPLAIN ANALYZE and the
+  // profile. The series is a logical quantity (fixpoint contents are
+  // deterministic), so it is identical across --jobs settings. A resumed
+  // or incremental pass extends the stratum's existing log.
+  StratumRoundStats* round_log =
+      ctx.analyze != nullptr ? &ctx.analyze->StratumLog(ctx.stratum)
+                             : nullptr;
 
   // Runs one round's (rule, delta_step) tasks and commits what they
   // staged. The task list is built in the exact order the serial loop
@@ -101,8 +66,8 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
   // parts in row order (one part unless the executor split it) and its
   // counters folded. The commit below walks tasks and parts in that
   // order, the serial emission order, so fixpoint contents, stats,
-  // profile columns, explain counters, trace spans and the provenance
-  // store come out identical for every --jobs (timing values aside).
+  // explain counters, trace spans and the provenance store come out
+  // identical for every --jobs (timing values aside).
   // Commit is where inserts become observable: a staged tuple counts
   // as facts_inserted (and is charged to the governor, and lands in the
   // next delta's rows) iff it is new in the full relation — the one
@@ -161,10 +126,13 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
       if (ctx.stats != nullptr) ctx.stats->facts_inserted += inserted;
       const size_t clause = static_cast<size_t>(task.plan->clause_index);
       if (ctx.analyze != nullptr && clause < ctx.analyze->rules.size()) {
-        std::vector<StepCounters>& dst = ctx.analyze->rules[clause].steps;
-        const std::vector<StepCounters>& src = task.counters.steps;
-        if (dst.size() == src.size()) {
-          for (size_t k = 0; k < dst.size(); ++k) dst[k] += src[k];
+        RuleStepStats& dst = ctx.analyze->rules[clause];
+        const RuleStepStats& src = task.counters;
+        if (dst.steps.size() == src.steps.size()) {
+          for (size_t k = 0; k < dst.steps.size(); ++k) {
+            dst.steps[k] += src.steps[k];
+          }
+          dst.self_ns += src.self_ns;
         }
       }
 
@@ -188,16 +156,6 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
             commit_status.ok()) {
           commit_status = ctx.governor->OnDerived(0, prov_bytes);
         }
-      }
-
-      if (ctx.profile != nullptr && clause < ctx.profile->rules.size()) {
-        RuleProfile& rp = ctx.profile->rules[clause];
-        ++rp.evals;
-        rp.firings += totals.rule_firings;
-        rp.tuples_considered += totals.tuples_considered;
-        rp.facts_derived += totals.facts_derived;
-        rp.facts_inserted += totals.facts_inserted;
-        rp.self_ns += task.self_ns;
       }
 
       if (ctx.trace != nullptr) {
@@ -225,7 +183,7 @@ Status EvaluateStratum(const std::vector<const RulePlan*>& plans,
         }
         ctx.trace->CompleteWithDuration("rule " + task.plan->head_pred,
                                         "rule", task.start_us,
-                                        task.self_ns / 1000,
+                                        task.counters.self_ns / 1000,
                                         std::move(args));
       }
 

@@ -39,10 +39,9 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
   EvalContext ctx = base_ctx;
   // Attribution happens in the driver, from the folded counters; parts
   // only count, into their private buffer, and never touch the shared
-  // totals, trace, profile or analysis.
+  // totals, trace or analysis.
   ctx.stats = nullptr;
   ctx.trace = nullptr;
-  ctx.profile = nullptr;
   ctx.analyze = nullptr;
   ctx.counters = &part->counters;
   ctx.head = task.head;
@@ -56,7 +55,7 @@ void RunPart(const EvalContext& base_ctx, const RoundTask& task,
     return EvaluateRuleInto(*task.plan, part->bound, ctx, task.delta_step,
                             &part->staged);
   });
-  part->self_ns = static_cast<uint64_t>(
+  part->counters.self_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
@@ -138,8 +137,8 @@ Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
         for (size_t k = 0; k < part.counters.steps.size(); ++k) {
           task.counters.steps[k] += part.counters.steps[k];
         }
+        task.counters.self_ns += part.counters.self_ns;
       }
-      task.self_ns += part.self_ns;
       if (!part.status.ok()) {
         task.status = part.status;
         task.parts.resize(pi + 1);

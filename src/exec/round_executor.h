@@ -31,14 +31,14 @@ struct RoundPart {
                                 ///< narrowed to this part's rows.
   Relation staged;              ///< The heads the part derived that the
                                 ///< task's head lacks, typed as it.
-  RuleStepStats counters;       ///< The part's own counters (steps+1);
-                                ///< part 0's start from the bind
-                                ///< counters.
+  RuleStepStats counters;       ///< The part's own counters (steps+1)
+                                ///< and its wall time inside the
+                                ///< evaluation; part 0's start from
+                                ///< the bind counters.
   ProvenanceStore prov;         ///< Derivations the part recorded
                                 ///< (uncharged); the caller absorbs
                                 ///< them in part order.
   uint64_t start_us = 0;        ///< Trace timestamp at part start.
-  uint64_t self_ns = 0;         ///< Wall time inside the evaluation.
   Status status;                ///< The part's evaluation status.
 };
 
@@ -58,11 +58,11 @@ struct RoundTask {
   std::vector<RoundPart> parts;   ///< In row order, up to the first
                                   ///< failing part.
   RuleStepStats counters;         ///< The bind counters plus every
-                                  ///< part's, step-0 rows_in capped at
-                                  ///< 1; emit rows_emitted stays 0 for
-                                  ///< the caller's commit.
+                                  ///< part's, self time included,
+                                  ///< step-0 rows_in capped at 1; emit
+                                  ///< rows_emitted stays 0 for the
+                                  ///< caller's commit.
   uint64_t start_us = 0;          ///< The first part's start_us.
-  uint64_t self_ns = 0;           ///< Summed over the parts.
   Status status;                  ///< The first failing part's status.
 };
 
@@ -89,8 +89,8 @@ struct RoundTask {
 /// failing or throwing one included (exceptions become its Status).
 /// Whatever follows the first failure in (task, part) order is then
 /// dropped, and each remaining task folds its parts into its
-/// `counters`, `start_us`, `self_ns` and `status`. Whether a staged tuple is new, and what it
-/// costs, is the caller's commit to decide. The returned Status covers
+/// `counters`, `start_us` and `status`. Whether a staged tuple is new,
+/// and what it costs, is the caller's commit to decide. The returned Status covers
 /// binding only, an exception thrown while binding (Internal) included.
 Status RunRoundTasks(const EvalContext& base_ctx, const RelationSlots& slots,
                      std::vector<RoundTask>* tasks);

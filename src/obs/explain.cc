@@ -139,6 +139,33 @@ bool HasNotes(const RewriteLog* log, int clause_index) {
 
 }  // namespace
 
+EvalStats TotalsOf(const RulePlan& plan, const RuleStepStats& counters) {
+  EvalStats t;
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const StepCounters& c = counters.steps[i];
+    // Built-ins enumerate solutions, not stored tuples.
+    if (plan.steps[i].kind != PlanStep::Kind::kBuiltin) {
+      t.tuples_considered += c.rows_scanned;
+    }
+    t.index_probes += c.index_probes;
+    t.index_builds += c.index_misses;
+  }
+  t.index_cache_misses = t.index_builds;
+  t.rule_firings = counters.steps.front().rows_in;
+  t.facts_derived = counters.steps.back().rows_in;
+  t.facts_inserted = counters.steps.back().rows_emitted;
+  return t;
+}
+
+StratumRoundStats& PlanAnalysis::StratumLog(int stratum) {
+  for (StratumRoundStats& log : strata) {
+    if (log.stratum == stratum) return log;
+  }
+  strata.emplace_back();
+  strata.back().stratum = stratum;
+  return strata.back();
+}
+
 std::string RenderExplainText(const ExplainDoc& doc) {
   const bool analyze = doc.analysis != nullptr;
   std::string out;

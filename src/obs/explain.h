@@ -78,31 +78,47 @@ struct StepCounters {
 
 /// Per-step counters of one rule: one entry per PlanStep plus a final
 /// synthetic "emit" step whose rows_in is the rule's facts_derived and
-/// whose rows_emitted is its facts_inserted — the bridge to the
-/// EvalProfile columns (the sum invariant EXPLAIN tests assert).
+/// whose rows_emitted is its facts_inserted (see TotalsOf). `self_ns`
+/// is the wall time spent inside the evaluations counted; like the
+/// physical index counters it varies between runs, and snapshots do not
+/// carry it.
 struct RuleStepStats {
   std::vector<StepCounters> steps;
+  uint64_t self_ns = 0;
 };
 
+/// The engine totals of `counters`, one task's fold or a rule's sum
+/// over a run (the map is linear): what EvalStats, the rule's profile
+/// row and its trace span report. `counters` has plan.steps.size() + 1
+/// entries.
+EvalStats TotalsOf(const RulePlan& plan, const RuleStepStats& counters);
+
 /// Fixpoint shape of one stratum: the number of new facts each round
-/// committed (the per-round delta sizes). Ends with the 0 of the round
-/// that reached the fixpoint.
+/// committed (the per-round delta sizes), ending with the 0 of the round
+/// that reached the fixpoint, and the wall time of the passes that ran
+/// it (physical, not carried by snapshots).
 struct StratumRoundStats {
   int stratum = -1;
   std::vector<uint64_t> new_facts_per_round;
+  uint64_t wall_ns = 0;
 };
 
-/// Everything EXPLAIN ANALYZE reports of one Evaluate(): per-step
-/// counters per rule (indexed by clause index, sized by the engine) and
-/// per-round delta sizes per stratum. Aggregation is deterministic
-/// under --jobs N: workers count into private RuleStepStats, and the
-/// driver folds each task's parts and adds the fold in serial task
-/// order — the same fold EvalStats and the profile are read from.
+/// The one per-rule and per-stratum record of an evaluation: per-step
+/// counters and self time per rule (indexed by clause index, sized by
+/// the engine) and per-round delta sizes and wall time per stratum, in
+/// the order the strata were first run. EXPLAIN ANALYZE and the profile
+/// are both rendered from it. Aggregation is deterministic under
+/// --jobs N: workers count into private RuleStepStats, and the driver
+/// folds each task's parts and adds the fold in serial task order — the
+/// same fold EvalStats is read from.
 struct PlanAnalysis {
   std::vector<RuleStepStats> rules;
   std::vector<StratumRoundStats> strata;
 
   void Clear() { *this = PlanAnalysis(); }
+
+  /// The log of `stratum`, appended if it has none yet.
+  StratumRoundStats& StratumLog(int stratum);
 };
 
 /// One rule of an EXPLAIN document: the compiled plan plus rendering

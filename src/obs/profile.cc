@@ -37,13 +37,12 @@ std::string EvalProfile::ToTable() const {
             });
 
   std::string out;
-  AppendRow(&out, "%-6s %-7s %-16s %9s %9s %12s %10s %10s %10s  %s\n",
-            "clause", "stratum", "head", "evals", "firings", "considered",
+  AppendRow(&out, "%-6s %-7s %-16s %9s %12s %10s %10s %10s  %s\n",
+            "clause", "stratum", "head", "firings", "considered",
             "derived", "inserted", "self-ms", "rule");
   for (const RuleProfile* r : order) {
-    AppendRow(&out, "%-6d %-7d %-16s %9llu %9llu %12llu %10llu %10llu %10s  %s\n",
+    AppendRow(&out, "%-6d %-7d %-16s %9llu %12llu %10llu %10llu %10s  %s\n",
               r->clause_index, r->stratum, r->head_pred.c_str(),
-              static_cast<unsigned long long>(r->evals),
               static_cast<unsigned long long>(r->firings),
               static_cast<unsigned long long>(r->tuples_considered),
               static_cast<unsigned long long>(r->facts_derived),
@@ -112,7 +111,6 @@ void EvalProfile::ToMetrics(MetricsRegistry* metrics) const {
     std::string prefix =
         "rule." + std::to_string(r.clause_index) + "." + r.head_pred + ".";
     metrics->SetGauge(prefix + "stratum", r.stratum);
-    metrics->AddCounter(prefix + "evals", r.evals);
     metrics->AddCounter(prefix + "firings", r.firings);
     metrics->AddCounter(prefix + "tuples_considered", r.tuples_considered);
     metrics->AddCounter(prefix + "facts_derived", r.facts_derived);

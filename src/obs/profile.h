@@ -10,17 +10,16 @@
 
 namespace idlog {
 
-/// Work and self-time attributed to one program clause across a run.
-/// The counters are read from the same per-task fold of the rule's
-/// per-step counters that the engine's EvalStats are, so summing any
-/// column over all rules reproduces the engine-level total exactly.
+/// Work and self-time attributed to one program clause across a run:
+/// TotalsOf over the clause's PlanAnalysis entry, the same map the
+/// engine's EvalStats are folded with, so summing any counter column
+/// over all rules reproduces the engine-level total exactly.
 struct RuleProfile {
   int clause_index = -1;
   std::string head_pred;
   std::string rule;  ///< Rendered clause text (may be empty).
   int stratum = -1;
-  uint64_t evals = 0;    ///< Round tasks run (none for an empty delta).
-  uint64_t firings = 0;  ///< Calls that actually scanned (non-empty delta).
+  uint64_t firings = 0;  ///< Round tasks run (an empty delta gets none).
   uint64_t tuples_considered = 0;
   uint64_t facts_derived = 0;
   uint64_t facts_inserted = 0;
@@ -35,18 +34,17 @@ struct StratumProfile {
   uint64_t wall_ns = 0;
 };
 
-/// The per-rule / per-stratum breakdown of one evaluation, collected by
-/// the engine when profiling is enabled (EngineImpl::set_profiling /
-/// IdlogEngine::EnableProfiling). Attribution happens per rule
-/// evaluation, not per tuple, so the overhead is a few clock reads per
-/// rule call — invisible next to the join work they bracket.
+/// The per-rule / per-stratum breakdown of an evaluation. The engine
+/// renders it on demand (EngineImpl::profile, IdlogEngine::profile)
+/// from the one record the fixpoint keeps, its PlanAnalysis, plus its
+/// EvalStats, plans and stratification; nothing is collected for it and
+/// nothing switches it on. Timings are physical: after a checkpoint
+/// resume, self and wall times cover only the resuming process.
 struct EvalProfile {
   std::vector<RuleProfile> rules;    ///< Indexed by clause index.
-  std::vector<StratumProfile> strata;
+  std::vector<StratumProfile> strata;  ///< One per stratum reached.
   EvalStats totals;                  ///< Engine-level stats of the run.
   uint64_t wall_ns = 0;              ///< Whole Evaluate() wall time.
-
-  void Clear() { *this = EvalProfile(); }
 
   /// Human-readable per-rule table sorted by self time, with per-stratum
   /// rows and the engine totals (the CLI's --profile output).

@@ -511,35 +511,8 @@ std::string SerializeSnapshot(const SnapshotView& view) {
     PutSection(&out, kSectionAnalysis, ana);
   }
 
-  {
-    std::string prof;
-    PutU8(&prof, view.profile != nullptr ? 1 : 0);
-    if (view.profile != nullptr) {
-      PutU32(&prof, static_cast<uint32_t>(view.profile->rules.size()));
-      for (const RuleProfile& rp : view.profile->rules) {
-        PutI32(&prof, rp.clause_index);
-        PutStr(&prof, rp.head_pred);
-        PutStr(&prof, rp.rule);
-        PutI32(&prof, rp.stratum);
-        PutU64(&prof, rp.evals);
-        PutU64(&prof, rp.firings);
-        PutU64(&prof, rp.tuples_considered);
-        PutU64(&prof, rp.facts_derived);
-        PutU64(&prof, rp.facts_inserted);
-        PutU64(&prof, rp.self_ns);
-      }
-      PutU32(&prof, static_cast<uint32_t>(view.profile->strata.size()));
-      for (const StratumProfile& sp : view.profile->strata) {
-        PutI32(&prof, sp.index);
-        PutU64(&prof, sp.rules);
-        PutU64(&prof, sp.rounds);
-        PutU64(&prof, sp.wall_ns);
-      }
-      PutStats(&prof, view.profile->totals);
-      PutU64(&prof, view.profile->wall_ns);
-    }
-    PutSection(&out, kSectionProfile, prof);
-  }
+  // The profile is rendered from ANALYSIS, so nothing is stored here.
+  PutSection(&out, kSectionProfile, std::string(1, '\0'));
 
   {
     // Derivations in recording order: the predicate interner table,
@@ -827,40 +800,12 @@ Result<SnapshotData> ParseSnapshot(std::string_view bytes) {
         break;
       }
       case kSectionProfile: {
+        // Older writers stored a copy of the profile after the presence
+        // byte; it is rendered from ANALYSIS now, so a present payload
+        // is skipped once the framing and CRC above have held.
         uint8_t present = 0;
         IDLOG_RETURN_NOT_OK(r.U8(&present));
-        snap.eval.has_profile = present != 0;
-        if (snap.eval.has_profile) {
-          uint32_t nrules = 0;
-          IDLOG_RETURN_NOT_OK(r.U32(&nrules));
-          // Two i32, two strings (u32 length each) and six u64.
-          IDLOG_RETURN_NOT_OK(r.Fits(nrules, 2 * 4 + 2 * 4 + 6 * 8));
-          snap.eval.profile.rules.resize(nrules);
-          for (RuleProfile& rp : snap.eval.profile.rules) {
-            IDLOG_RETURN_NOT_OK(r.I32(&rp.clause_index));
-            IDLOG_RETURN_NOT_OK(r.Str(&rp.head_pred));
-            IDLOG_RETURN_NOT_OK(r.Str(&rp.rule));
-            IDLOG_RETURN_NOT_OK(r.I32(&rp.stratum));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.evals));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.firings));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.tuples_considered));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.facts_derived));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.facts_inserted));
-            IDLOG_RETURN_NOT_OK(r.U64(&rp.self_ns));
-          }
-          uint32_t nstrata = 0;
-          IDLOG_RETURN_NOT_OK(r.U32(&nstrata));
-          IDLOG_RETURN_NOT_OK(r.Fits(nstrata, 4 + 3 * 8));  // i32, 3 u64
-          snap.eval.profile.strata.resize(nstrata);
-          for (StratumProfile& sp : snap.eval.profile.strata) {
-            IDLOG_RETURN_NOT_OK(r.I32(&sp.index));
-            IDLOG_RETURN_NOT_OK(r.U64(&sp.rules));
-            IDLOG_RETURN_NOT_OK(r.U64(&sp.rounds));
-            IDLOG_RETURN_NOT_OK(r.U64(&sp.wall_ns));
-          }
-          IDLOG_RETURN_NOT_OK(ReadStats(&r, &snap.eval.profile.totals));
-          IDLOG_RETURN_NOT_OK(r.U64(&snap.eval.profile.wall_ns));
-        }
+        if (present != 0) r.pos = payload.size();
         break;
       }
       case kSectionDeriv: {

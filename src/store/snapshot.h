@@ -15,7 +15,6 @@
 #include "eval/provenance.h"
 #include "eval/resume_state.h"
 #include "obs/explain.h"
-#include "obs/profile.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 
@@ -32,9 +31,14 @@ namespace idlog {
 /// any reordering, truncation, bit flip or trailing garbage is rejected
 /// with a precise error naming the damage. Snapshot files are written
 /// only through WriteFileAtomic, so a crash mid-write can never leave a
-/// torn file at the target path. DERIV carries the provenance store
-/// (absent unless provenance was enabled), so a resumed run can still
-/// explain facts derived before the crash. WALPOS records how far into
+/// torn file at the target path. ANALYSIS carries the per-rule and
+/// per-stratum counters, which the profile is rendered from; timings
+/// are physical and stay out. PROFILE is always written absent (one
+/// zero byte): an older writer stored a copy of the profile there,
+/// whose payload the reader checks for framing and CRC and then skips.
+/// DERIV carries the provenance store (absent unless provenance was
+/// enabled), so a resumed run can still explain facts derived before
+/// the crash. WALPOS records how far into
 /// a write-ahead log (store/wal.h) this snapshot's state reaches, so
 /// recovery replays only the WAL tail beyond it.
 ///
@@ -83,7 +87,6 @@ struct SnapshotView {
   const DeltaMarks* delta = nullptr;  ///< Marks into `derived`; may be null.
   const EvalStats* stats = nullptr;
   const PlanAnalysis* analysis = nullptr;  ///< May be null.
-  const EvalProfile* profile = nullptr;    ///< May be null.
   const ProvenanceStore* provenance = nullptr;  ///< May be null.
   SnapshotConfig config;
   /// Where in the stratified fixpoint the snapshot was taken: always a

@@ -62,8 +62,8 @@ struct Observed {
 };
 
 /// The profile without its timing columns: per stratum its index, rules
-/// and rounds; per rule its evals, firings, considered, derived and
-/// inserted counts.
+/// and rounds; per rule its firings, considered, derived and inserted
+/// counts.
 std::string LogicalProfile(const EvalProfile& profile) {
   std::string out;
   for (const StratumProfile& sp : profile.strata) {
@@ -72,8 +72,7 @@ std::string LogicalProfile(const EvalProfile& profile) {
            std::to_string(sp.rounds) + "\n";
   }
   for (const RuleProfile& rp : profile.rules) {
-    out += "rule " + std::to_string(rp.clause_index) + " evals " +
-           std::to_string(rp.evals) + " firings " +
+    out += "rule " + std::to_string(rp.clause_index) + " firings " +
            std::to_string(rp.firings) + " considered " +
            std::to_string(rp.tuples_considered) + " derived " +
            std::to_string(rp.facts_derived) + " inserted " +
@@ -96,7 +95,10 @@ Observed Observe(IdlogEngine* engine,
   auto doc = engine->ExplainPlanJson(/*analyze=*/true);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   if (doc.ok()) out.explain_json = *doc;
-  out.profile = LogicalProfile(engine->profile());
+  // No engine here asks for a profile; it is whole anyway.
+  const EvalProfile profile = engine->profile();
+  EXPECT_EQ(profile.rules.size(), engine->program().clauses.size());
+  out.profile = LogicalProfile(profile);
   return out;
 }
 
@@ -134,7 +136,6 @@ void ExpectResumeMatchesFullRun(
   IdlogEngine full;
   SeedEdb(&full, edb);
   full.SetThreads(full_jobs);
-  full.EnableProfiling(true);
   ASSERT_TRUE(full.LoadProgramText(program).ok());
   ASSERT_TRUE(full.Run().ok());
   Observed expected = Observe(&full, queries);
@@ -142,7 +143,6 @@ void ExpectResumeMatchesFullRun(
   IdlogEngine tripper;
   SeedEdb(&tripper, edb);
   tripper.SetThreads(trip_jobs);
-  tripper.EnableProfiling(true);
   ASSERT_TRUE(tripper.LoadProgramText(program).ok());
   EvalLimits limits;
   limits.max_iterations = trip_iterations;
@@ -155,7 +155,6 @@ void ExpectResumeMatchesFullRun(
 
   IdlogEngine resumed;
   resumed.SetThreads(resume_jobs);
-  resumed.EnableProfiling(true);
   ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap_path).ok());
   ASSERT_TRUE(resumed.LoadProgramText(program).ok());
   ASSERT_TRUE(resumed.Run().ok());
@@ -166,7 +165,8 @@ void ExpectResumeMatchesFullRun(
   // The EXPLAIN ANALYZE document carries only logical counters, so a
   // resumed run must reproduce it byte for byte; so must the profile's
   // logical columns, including the rows of strata finished before the
-  // frame was cut.
+  // frame was cut: the snapshot carries no profile, and the resumed
+  // engine renders it from the counters the snapshot restored.
   EXPECT_EQ(actual.explain_json, expected.explain_json);
   EXPECT_EQ(actual.profile, expected.profile);
 }
@@ -240,7 +240,6 @@ TEST(CheckpointResume, ResumedCountersReconcile) {
 
   IdlogEngine tripper;
   SeedEdb(&tripper, edb);
-  tripper.EnableProfiling(true);
   ASSERT_TRUE(tripper.LoadProgramText(program).ok());
   EvalLimits limits;
   limits.max_iterations = 4;
@@ -251,7 +250,6 @@ TEST(CheckpointResume, ResumedCountersReconcile) {
   ASSERT_FALSE(tripper.last_trip().ok());
 
   IdlogEngine resumed;
-  resumed.EnableProfiling(true);
   ASSERT_TRUE(resumed.ResumeFromCheckpoint(snap).ok());
   ASSERT_TRUE(resumed.LoadProgramText(program).ok());
   ASSERT_TRUE(resumed.Run().ok());

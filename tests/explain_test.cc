@@ -123,7 +123,6 @@ TEST(ExplainPlan, EngineRewriteLogIsRenderedWithThePlan) {
 
 TEST(ExplainAnalyze, CountersReconcileWithProfile) {
   IdlogEngine engine;
-  engine.EnableProfiling(true);
   LoadCompany(&engine);
   ASSERT_TRUE(engine.Run().ok());
   testing_util::ExpectCountersReconcile(engine);
@@ -138,7 +137,6 @@ TEST(ExplainAnalyze, IncrementalCommitsKeepCountersReconciled) {
        ("idlog_explain_test_" + std::to_string(::getpid()) + ".wal"))
           .string();
   IdlogEngine engine;
-  engine.EnableProfiling(true);
   for (int i = 0; i < 11; ++i) {
     ASSERT_TRUE(engine
                     .AddRow("edge", {"a" + std::to_string(i),
@@ -177,7 +175,6 @@ TEST(ExplainAnalyze, IterationTrippedRunReconciles) {
     SCOPED_TRACE("jobs " + std::to_string(jobs));
     IdlogEngine engine;
     engine.SetThreads(jobs);
-    engine.EnableProfiling(true);
     std::mt19937 rng(120);
     for (int i = 0; i < 300; ++i) {
       const std::string from = "n" + std::to_string(rng() % 120);
@@ -315,7 +312,6 @@ TEST(ExplainJson, RecursiveProgramIdenticalAcrossJobs) {
 
 TEST(ExplainMetrics, IndexCountersAppearInMetricsJson) {
   IdlogEngine engine;
-  engine.EnableProfiling(true);
   ASSERT_TRUE(engine.AddRow("edge", {"a", "b"}).ok());
   ASSERT_TRUE(engine.AddRow("edge", {"b", "c"}).ok());
   ASSERT_TRUE(engine

@@ -5,12 +5,18 @@
 // trace events.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/limits.h"
 #include "core/idlog_engine.h"
+#include "eval/rule_plan.h"
+#include "obs/explain.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -158,7 +164,6 @@ TEST(EngineObservability, TraceCoversAnalysisStrataRoundsAndRules) {
 TEST(EngineObservability, ProfileColumnsSumToEngineTotals) {
   IdlogEngine engine;
   LoadGraph(&engine);
-  engine.EnableProfiling(true);
   ASSERT_TRUE(engine.Run().ok());
 
   const EvalProfile& profile = engine.profile();
@@ -185,6 +190,89 @@ TEST(EngineObservability, ProfileColumnsSumToEngineTotals) {
   EXPECT_TRUE(ValidateJson(json).ok()) << json;
 }
 
+/// Counter `key` of an idlog-metrics-v1 document; nullopt when the
+/// document's counters object does not hold it.
+std::optional<uint64_t> CounterOf(const std::string& json,
+                                  const std::string& key) {
+  const size_t begin = json.find("\"counters\":{");
+  const size_t end = json.find('}', begin);
+  const std::string field = "\"" + key + "\":";
+  const size_t at = json.find(field, begin);
+  if (begin == std::string::npos || at == std::string::npos || at > end) {
+    return std::nullopt;
+  }
+  return std::stoull(json.substr(at + field.size()));
+}
+
+// Nothing switches the profile on: a plain Run() reports the whole run
+// through MetricsJson(), the totals as stats() holds them and every
+// rule's counters as TotalsOf folds the rule's PlanAnalysis row.
+TEST(EngineObservability, MetricsJsonReportsTheRunWithoutASwitch) {
+  IdlogEngine engine;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine
+                    .AddRow("edge", {"n" + std::to_string(i),
+                                     "n" + std::to_string(i + 1)})
+                    .ok());
+  }
+  ASSERT_TRUE(engine
+                  .LoadProgramText("path(X, Y) :- edge(X, Y).\n"
+                                   "path(X, Z) :- path(X, Y), edge(Y, Z).\n")
+                  .ok());
+  ASSERT_TRUE(engine.Run().ok());
+  const std::string json = engine.MetricsJson();
+  ASSERT_TRUE(ValidateJson(json).ok()) << json;
+
+  const EvalStats& stats = engine.stats();
+  EXPECT_EQ(stats.facts_inserted, 15u);
+  const std::pair<const char*, uint64_t> totals[] = {
+      {"tuples_considered", stats.tuples_considered},
+      {"facts_derived", stats.facts_derived},
+      {"facts_inserted", stats.facts_inserted},
+      {"rule_firings", stats.rule_firings},
+      {"iterations", stats.iterations},
+      {"strata_evaluated", stats.strata_evaluated},
+      {"id_groups_assigned", stats.id_groups_assigned},
+      {"id_tuples_materialized", stats.id_tuples_materialized},
+      {"index_probes", stats.index_probes},
+      {"index_builds", stats.index_builds},
+      {"index_cache_misses", stats.index_cache_misses},
+  };
+  for (const auto& [name, value] : totals) {
+    EXPECT_EQ(CounterOf(json, std::string("totals.") + name),
+              std::optional<uint64_t>(value))
+        << name;
+  }
+
+  const PlanAnalysis& analysis = engine.plan_analysis();
+  const std::vector<Clause>& clauses = engine.program().clauses;
+  ASSERT_EQ(analysis.rules.size(), clauses.size());
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    Result<RulePlan> plan = CompileRule(clauses[i]);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const EvalStats rule = TotalsOf(*plan, analysis.rules[i]);
+    const std::string prefix = "rule." + std::to_string(i) + "." +
+                               clauses[i].head.predicate + ".";
+    const std::pair<const char*, uint64_t> columns[] = {
+        {"firings", rule.rule_firings},
+        {"tuples_considered", rule.tuples_considered},
+        {"facts_derived", rule.facts_derived},
+        {"facts_inserted", rule.facts_inserted},
+    };
+    for (const auto& [name, value] : columns) {
+      EXPECT_EQ(CounterOf(json, prefix + name),
+                std::optional<uint64_t>(value))
+          << prefix + name;
+    }
+    EXPECT_EQ(CounterOf(json, prefix + "evals"), std::nullopt);
+  }
+  for (const StratumRoundStats& log : analysis.strata) {
+    EXPECT_EQ(CounterOf(json, "stratum." + std::to_string(log.stratum) +
+                                  ".rounds"),
+              std::optional<uint64_t>(log.new_facts_per_round.size()));
+  }
+}
+
 TEST(EngineObservability, CountersAreDeterministicAcrossIdenticalRuns) {
   auto run = [](MetricsRegistry* metrics) {
     IdlogEngine engine;
@@ -192,7 +280,6 @@ TEST(EngineObservability, CountersAreDeterministicAcrossIdenticalRuns) {
     ASSERT_TRUE(engine.AddRow("edge", {"b", "c"}).ok());
     ASSERT_TRUE(engine.AddRow("edge", {"c", "a"}).ok());
     ASSERT_TRUE(engine.LoadProgramText(kGraphProgram).ok());
-    engine.EnableProfiling(true);
     ASSERT_TRUE(engine.Run().ok());
     engine.profile().ToMetrics(metrics);
   };

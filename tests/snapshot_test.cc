@@ -88,7 +88,6 @@ void SetUpSampleEngine(IdlogEngine* engine) {
   ASSERT_TRUE(engine->AddRow("lvl", {"bob", "5"}).ok());
   ASSERT_TRUE(engine->LoadProgramText(kSampleProgram).ok());
   engine->SetTidAssigner(std::make_unique<RandomTidAssigner>(11));
-  engine->EnableProfiling(true);
 }
 
 std::string QueryDump(IdlogEngine* engine, const std::string& pred) {
@@ -113,7 +112,6 @@ TEST(Snapshot, CompletedRunRoundTrips) {
   EXPECT_EQ(data->symbols.size(), source.symbols().size());
   EXPECT_EQ(data->edb.size(), 2u);
   EXPECT_TRUE(data->eval.has_analysis);
-  EXPECT_TRUE(data->eval.has_profile);
   EXPECT_EQ(data->config.assigner_kind, "random");
   EXPECT_EQ(data->eval.stats.facts_derived, source.stats().facts_derived);
 
@@ -389,20 +387,6 @@ TEST(SnapshotLyingCount, EveryDecoderSiteRejectsIt) {
          return c->pos;
        },
        8},
-      {"PROFILE rules", kProfileTag, false,
-       [](Cursor* c) { return c->pos + 1; }, 4},
-      {"PROFILE strata", kProfileTag, false,
-       [](Cursor* c) {
-         c->Skip(1);
-         for (uint64_t n = c->Read(4); n > 0; --n) {
-           c->Skip(4);  // clause index
-           c->SkipStr();
-           c->SkipStr();
-           c->Skip(4 + 6 * 8);
-         }
-         return c->pos;
-       },
-       4},
   };
   for (const LyingCount& lie : cases) {
     SCOPED_TRACE(lie.site);
@@ -720,6 +704,123 @@ TEST(Snapshot, WalPositionRoundTrips) {
   EXPECT_EQ(session->wal_pos.epoch, 1u);
   EXPECT_EQ(session->wal_pos.offset, kWalHeaderSize);
   EXPECT_EQ(session->wal_pos.commits, 0u);
+}
+
+// Older writers stored a copy of the profile in PROFILE. The profile is
+// rendered from ANALYSIS now, so the reader skips a present payload
+// after checking its framing and CRC, and the checkpoint resumes to the
+// same run as one without it.
+TEST(Snapshot, OlderPresentProfileIsSkipped) {
+  ScratchDir scratch("oldprofile");
+  const std::string program =
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n";
+  auto seed = [&program](IdlogEngine* engine) {
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(engine
+                      ->AddRow("edge", {"n" + std::to_string(i),
+                                        "n" + std::to_string(i + 1)})
+                      .ok());
+    }
+    ASSERT_TRUE(engine->LoadProgramText(program).ok());
+  };
+  // The profile columns a run reports, timings left out.
+  auto counters = [](const EvalProfile& profile) {
+    std::string out;
+    for (const RuleProfile& r : profile.rules) {
+      out += std::to_string(r.firings) + " " +
+             std::to_string(r.tuples_considered) + " " +
+             std::to_string(r.facts_derived) + " " +
+             std::to_string(r.facts_inserted) + "\n";
+    }
+    for (const StratumProfile& s : profile.strata) {
+      out += std::to_string(s.index) + " " + std::to_string(s.rules) + " " +
+             std::to_string(s.rounds) + "\n";
+    }
+    return out;
+  };
+
+  IdlogEngine full;
+  seed(&full);
+  ASSERT_TRUE(full.Run().ok());
+
+  const std::string snap = scratch.Path("trip.snap");
+  IdlogEngine tripper;
+  seed(&tripper);
+  EvalLimits limits;
+  limits.max_iterations = 5;
+  tripper.SetLimits(limits);
+  tripper.SetPartialResults(true);
+  tripper.SetCheckpoint(snap);
+  ASSERT_TRUE(tripper.Run().ok());
+  ASSERT_EQ(tripper.last_trip().code(), StatusCode::kResourceExhausted);
+
+  // The tripper's profile in the older layout: per rule its clause
+  // index, head, text and stratum, then evals, firings, considered,
+  // derived and inserted and its self time; per stratum its index,
+  // rules, rounds and wall; then the 15 stats counters and the wall.
+  const EvalProfile profile = tripper.profile();
+  std::string payload;
+  auto put = [&payload](uint64_t v, int bytes) {
+    payload.append(static_cast<size_t>(bytes), '\0');
+    PutLe(&payload, payload.size() - static_cast<size_t>(bytes), v, bytes);
+  };
+  auto put_str = [&](const std::string& text) {
+    put(text.size(), 4);
+    payload += text;
+  };
+  put(1, 1);  // present
+  put(profile.rules.size(), 4);
+  for (const RuleProfile& r : profile.rules) {
+    put(static_cast<uint32_t>(r.clause_index), 4);
+    put_str(r.head_pred);
+    put_str(r.rule);
+    put(static_cast<uint32_t>(r.stratum), 4);
+    for (uint64_t v : {r.firings, r.firings, r.tuples_considered,
+                       r.facts_derived, r.facts_inserted, r.self_ns}) {
+      put(v, 8);
+    }
+  }
+  put(profile.strata.size(), 4);
+  for (const StratumProfile& s : profile.strata) {
+    put(static_cast<uint32_t>(s.index), 4);
+    for (uint64_t v : {s.rules, s.rounds, s.wall_ns}) put(v, 8);
+  }
+  for (int i = 0; i < 15; ++i) put(i, 8);  // stats, never read
+  put(profile.wall_ns, 8);
+
+  const std::string older = EditSection(
+      Slurp(snap), kProfileTag, [&](std::string* p) { *p = payload; });
+  ASSERT_NE(older.find(payload), std::string::npos);
+  auto parsed = ParseSnapshot(older);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed->eval.frame.in_stratum);
+
+  const std::string older_path = scratch.Path("older.snap");
+  ASSERT_TRUE(WriteFileAtomic(older_path, older).ok());
+  IdlogEngine resumed;
+  ASSERT_TRUE(resumed.ResumeFromCheckpoint(older_path).ok());
+  ASSERT_TRUE(resumed.LoadProgramText(program).ok());
+  ASSERT_TRUE(resumed.Run().ok());
+  EXPECT_EQ(QueryDump(&resumed, "tc"), QueryDump(&full, "tc"));
+  auto resumed_doc = resumed.ExplainPlanJson(/*analyze=*/true);
+  auto full_doc = full.ExplainPlanJson(/*analyze=*/true);
+  ASSERT_TRUE(resumed_doc.ok() && full_doc.ok());
+  EXPECT_EQ(*resumed_doc, *full_doc);
+  EXPECT_EQ(counters(resumed.profile()), counters(full.profile()));
+
+  // The skipped payload is still covered by the section's CRC.
+  const size_t at = older.find(payload);
+  for (size_t i : {size_t{0}, payload.size() / 2, payload.size() - 1}) {
+    std::string damaged = older;
+    damaged[at + i] = static_cast<char>(damaged[at + i] ^ 0x01);
+    auto rejected = ParseSnapshot(damaged);
+    ASSERT_FALSE(rejected.ok()) << "flip at payload byte " << i;
+    EXPECT_NE(rejected.status().message().find("CRC mismatch in section "
+                                               "PROFILE"),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
 }
 
 // A hand-rolled idlog-snap-v1 file (no per-relation counters, no

@@ -33,7 +33,9 @@
 //             [--partial]               (keep partial results on a trip)
 //             [--profile]               (per-rule/per-stratum table)
 //             [--trace-out FILE]        (chrome://tracing JSON trace)
-//             [--metrics-json FILE]     (flat idlog-metrics-v1 report)
+//             [--metrics-json FILE]     (flat idlog-metrics-v1 report;
+//                                        it and --profile only render
+//                                        the counters every run keeps)
 //             [--checkpoint FILE]       (durable idlog-snap-v2 snapshot,
 //                                        written atomically at round
 //                                        boundaries and on trips)
@@ -843,9 +845,6 @@ int RunBatch(int argc, char** argv) {
   idlog::TraceSink trace_sink;
   const bool tracing = !trace_out.empty();
   if (tracing) engine.SetTraceSink(&trace_sink);
-  // --metrics-json implies profiling: the report is the flattened
-  // profile, so there is nothing to write without it.
-  if (profile || !metrics_json.empty()) engine.EnableProfiling(true);
 
   // The --why-json document, rendered next to the --why / --why-not
   // text from the run that happened; finish() writes it if it exists
